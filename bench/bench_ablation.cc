@@ -57,7 +57,6 @@ void RunCpsSeeding(benchmark::State& state, bool seed) {
   const int employees = static_cast<int>(state.range(0));
   core::Specification spec = MakeConstraintRichSpec(employees);
   core::CpsOptions options;
-  options.use_ptime_path_without_constraints = false;
   options.encoder.seed_with_chase = seed;
   for (auto _ : state) {
     auto outcome = core::DecideConsistency(spec, options);

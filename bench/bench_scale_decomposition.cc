@@ -10,27 +10,19 @@
 // literals (selected per tuple through the P attribute), planted to be
 // satisfiable by the identity order but anti-aligned with the solver's
 // default phase, so every component costs a few dozen genuine CDCL
-// conflicts.  Each family runs the same specification through the
-// monolithic encoder (use_decomposition = false) and the decomposed one,
-// so the reported ratio isolates the decomposition:
+// conflicts.  The families:
 //
-//   * CPS on the satisfiable shard set: the monolithic solver pays
-//     global restarts and full-trail re-decisions for every component's
-//     conflicts (measured superlinear), while per-component solving
-//     keeps each search local (≈ 50× at 1024 entities on the reference
-//     machine, growing with size).
+//   * CPS on the satisfiable shard set: every component is solved on its
+//     own small encoder, so restarts and re-decisions stay local to one
+//     component's search.
 //   * CPS with one planted deeply-UNSAT shard (a no-chain denial guarded
-//     by P = 99, search-refutable but not unit-refutable): the
-//     decomposed path refutes the smallest component first and never
-//     encodes the rest, while the monolithic path must build and search
-//     the whole formula.
-//   * COP with eight queried pairs: the monolithic path pays its full
-//     initial solve plus whole-formula assumption re-solves; the
-//     decomposed path re-solves one component per pair.
+//     by P = 99, search-refutable but not unit-refutable): the smallest
+//     component is refuted first and the rest are never encoded.
+//   * COP with eight queried pairs: after the per-component vacuity
+//     solves, each pair re-solves only its own component.
 //
-// The decomposed families additionally honour --threads=N (this binary
-// carries its own main; the flag is stripped before Google Benchmark
-// parses the rest): components are embarrassingly parallel, so on an
+// Every family honours --threads=N (this binary carries its own main; the
+// flag is stripped before Google Benchmark parses the rest): components are embarrassingly parallel, so on an
 // N-core machine `--threads=N` vs `--threads=1` isolates the win of the
 // exec layer (src/exec/thread_pool.h) on the same workload, with
 // bit-identical answers.  On a single-core machine the two runs time
@@ -49,13 +41,12 @@
 
 #include "src/core/certain_order.h"
 #include "src/core/consistency.h"
-#include "src/core/decompose.h"
 
 namespace {
 
 using namespace currency;  // NOLINT
 
-/// Thread count for the decomposed families, set by --threads=N.
+/// Thread count for every family, set by --threads=N.
 int g_threads = 1;
 
 constexpr int kGroup = 6;       // tuples per R entity
@@ -115,10 +106,9 @@ std::vector<std::string> MakePuzzleConstraints(unsigned seed) {
 }
 
 /// Builds the sharded master/replica specification described above.
-/// `plant_unsat` prepends one entity (first in Value order, so its
-/// variables are decided last under the monolithic solver's
-/// tie-breaking) whose three tuples carry P = 99 and fall to a no-chain
-/// denial that needs genuine search — not unit propagation — to refute.
+/// `plant_unsat` prepends one entity (first in Value order) whose three
+/// tuples carry P = 99 and fall to a no-chain denial that needs genuine
+/// search — not unit propagation — to refute.
 core::Specification MakeShardedSpec(int entities, bool plant_unsat) {
   core::Specification spec;
   Schema rs = Schema::Make("R", {"P", "A", "B"}).value();
@@ -173,12 +163,11 @@ core::Specification MakeShardedSpec(int entities, bool plant_unsat) {
   return spec;
 }
 
-void RunCps(benchmark::State& state, bool decomposed, bool plant_unsat) {
+void RunCps(benchmark::State& state, bool plant_unsat) {
   const int entities = static_cast<int>(state.range(0));
   core::Specification spec = MakeShardedSpec(entities, plant_unsat);
   core::CpsOptions options;
-  options.use_decomposition = decomposed;
-  if (decomposed) options.num_threads = g_threads;
+  options.num_threads = g_threads;
   int64_t consistent = 0;
   int64_t components = 0;
   for (auto _ : state) {
@@ -200,27 +189,13 @@ void RunCps(benchmark::State& state, bool decomposed, bool plant_unsat) {
   }
 }
 
-void BM_ScaleCps_Monolithic(benchmark::State& state) {
-  RunCps(state, /*decomposed=*/false, /*plant_unsat=*/false);
-}
 void BM_ScaleCps_Decomposed(benchmark::State& state) {
-  RunCps(state, /*decomposed=*/true, /*plant_unsat=*/false);
-}
-void BM_ScaleCpsUnsatShard_Monolithic(benchmark::State& state) {
-  RunCps(state, /*decomposed=*/false, /*plant_unsat=*/true);
+  RunCps(state, /*plant_unsat=*/false);
 }
 void BM_ScaleCpsUnsatShard_Decomposed(benchmark::State& state) {
-  RunCps(state, /*decomposed=*/true, /*plant_unsat=*/true);
+  RunCps(state, /*plant_unsat=*/true);
 }
-BENCHMARK(BM_ScaleCps_Monolithic)
-    ->RangeMultiplier(4)
-    ->Range(64, 1024)
-    ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_ScaleCps_Decomposed)
-    ->RangeMultiplier(4)
-    ->Range(64, 1024)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK(BM_ScaleCpsUnsatShard_Monolithic)
     ->RangeMultiplier(4)
     ->Range(64, 1024)
     ->Unit(benchmark::kMillisecond);
@@ -229,12 +204,11 @@ BENCHMARK(BM_ScaleCpsUnsatShard_Decomposed)
     ->Range(64, 1024)
     ->Unit(benchmark::kMillisecond);
 
-void RunCop(benchmark::State& state, bool decomposed) {
+void RunCop(benchmark::State& state) {
   const int entities = static_cast<int>(state.range(0));
   core::Specification spec = MakeShardedSpec(entities, /*plant_unsat=*/false);
   core::CopOptions options;
-  options.use_decomposition = decomposed;
-  if (decomposed) options.num_threads = g_threads;
+  options.num_threads = g_threads;
   // Eight pairs spread over eight entities.
   core::CurrencyOrderQuery query;
   query.relation = "R";
@@ -257,16 +231,7 @@ void RunCop(benchmark::State& state, bool decomposed) {
   state.counters["certain"] = static_cast<double>(certain > 0);
 }
 
-void BM_ScaleCop_Monolithic(benchmark::State& state) {
-  RunCop(state, /*decomposed=*/false);
-}
-void BM_ScaleCop_Decomposed(benchmark::State& state) {
-  RunCop(state, /*decomposed=*/true);
-}
-BENCHMARK(BM_ScaleCop_Monolithic)
-    ->RangeMultiplier(4)
-    ->Range(64, 1024)
-    ->Unit(benchmark::kMillisecond);
+void BM_ScaleCop_Decomposed(benchmark::State& state) { RunCop(state); }
 BENCHMARK(BM_ScaleCop_Decomposed)
     ->RangeMultiplier(4)
     ->Range(64, 1024)

@@ -213,52 +213,10 @@ Result<std::optional<std::set<Tuple>>> TryComponentSpAnswers(
   return std::optional<std::set<Tuple>>(std::move(answers));
 }
 
-/// Certain-membership check.  The decomposed path restricts the blocking
-/// loop to the coupling components the query's instances touch; the other
-/// components only matter through the Mod(S) = ∅ vacuity, which their
-/// per-component consistency decides.
-Result<bool> CheckCertainMember(const Specification& spec,
-                                const query::Query& q, const Tuple& t,
-                                const std::vector<int>& instances,
-                                const CcqaOptions& options) {
-  Encoder::Options enc = options.encoder;
-  enc.define_is_last = true;
-  if (options.use_decomposition) {
-    ASSIGN_OR_RETURN(auto decomposed,
-                     DecomposedEncoder::Build(spec, enc,
-                                              options.use_chase_routing));
-    std::vector<int> relevant =
-        decomposed->decomposition().ComponentsOfInstances(instances);
-    std::optional<exec::ThreadPool> local_pool;
-    exec::ThreadPool* pool =
-        exec::ResolvePool(options.pool, options.num_threads, local_pool);
-    {
-      auto sp = TryComponentSpAnswers(decomposed.get(), spec, q, relevant,
-                                      options, pool);
-      if (!sp.ok() && sp.status().code() == StatusCode::kInconsistent) {
-        return true;  // Mod(S) = ∅: vacuously certain
-      }
-      RETURN_IF_ERROR(sp.status());
-      if (sp->has_value()) return (**sp).count(t) > 0;
-    }
-    ASSIGN_OR_RETURN(bool rest_consistent,
-                     decomposed->SolveAll(relevant, pool));
-    if (!rest_consistent) return true;  // Mod(S) = ∅: vacuously certain
-    ASSIGN_OR_RETURN(auto encoder, decomposed->BuildMergedEncoder(relevant));
-    return internal::CheckCertainMemberWith(encoder.get(), spec, q, t,
-                                            instances, options);
-  }
-  ASSIGN_OR_RETURN(auto encoder, Encoder::Build(spec, enc));
-  return internal::CheckCertainMemberWith(encoder.get(), spec, q, t,
-                                          instances, options);
-}
-
 /// Enumerates the distinct current instances of one encoder's formula
 /// (models projected onto the cell variables of `instances`), invoking
 /// `visit` with the decoded relations per projected model; stops early
 /// when `visit` returns false (reported as `stopped` in the outcome).
-/// Shared by the monolithic enumeration and the per-component fragment
-/// enumeration below.
 Result<sat::ProjectedModelEnumeration> EnumerateEncoderCurrentInstances(
     Encoder* encoder, const std::vector<int>& instances, int64_t max_models,
     const std::function<bool(std::vector<Relation>)>& visit) {
@@ -368,15 +326,18 @@ void SortFragments(std::vector<std::vector<Relation>>* fragments) {
   *fragments = std::move(sorted);
 }
 
-/// Decomposed current-instance enumeration: the distinct current
-/// instances of S are the cartesian product of the per-component current
-/// fragments, so each component is enumerated once (small SAT instances,
-/// or the chase fixpoint directly for chase-enumerable components) and
-/// the fragments are recombined without further solving.
-Result<int64_t> ForEachCurrentInstanceDecomposed(
-    const Specification& spec, const Encoder::Options& enc,
-    const CcqaOptions& options,
+}  // namespace
+
+// The distinct current instances of S are the cartesian product of the
+// per-component current fragments, so each component is enumerated once
+// (a small SAT instance, or the chase fixpoint directly for
+// chase-enumerable components) and the fragments are recombined without
+// further solving.
+Result<int64_t> ForEachCurrentInstance(
+    const Specification& spec, const CcqaOptions& options,
     const std::function<bool(const query::Database&)>& visit) {
+  Encoder::Options enc = options.encoder;
+  enc.define_is_last = true;
   ASSIGN_OR_RETURN(auto decomposed,
                    DecomposedEncoder::Build(spec, enc,
                                             options.use_chase_routing));
@@ -493,77 +454,43 @@ Result<int64_t> ForEachCurrentInstanceDecomposed(
   }
 }
 
-}  // namespace
-
-Result<int64_t> ForEachCurrentInstance(
-    const Specification& spec, const CcqaOptions& options,
-    const std::function<bool(const query::Database&)>& visit) {
-  Encoder::Options enc = options.encoder;
-  enc.define_is_last = true;
-  if (options.use_decomposition) {
-    return ForEachCurrentInstanceDecomposed(spec, enc, options, visit);
-  }
-  ASSIGN_OR_RETURN(auto encoder, Encoder::Build(spec, enc));
-  std::vector<int> all;
-  for (int i = 0; i < spec.num_instances(); ++i) all.push_back(i);
-  ASSIGN_OR_RETURN(sat::ProjectedModelEnumeration enumeration,
-                   EnumerateEncoderCurrentInstances(
-                       encoder.get(), all, options.max_current_instances,
-                       [&](std::vector<Relation> decoded) {
-                         query::Database db;
-                         for (int i = 0; i < spec.num_instances(); ++i) {
-                           db[spec.instance(i).name()] = &decoded[i];
-                         }
-                         return visit(db);
-                       }));
-  return enumeration.models;
-}
-
 Result<std::set<Tuple>> CertainCurrentAnswers(const Specification& spec,
                                               const query::Query& q,
                                               const CcqaOptions& options) {
-  if (options.use_sp_fast_path && !spec.HasDenialConstraints() &&
-      query::IsSpQuery(q)) {
-    return SpCertainCurrentAnswers(spec, q);
-  }
   ASSIGN_OR_RETURN(std::vector<int> instances,
                    internal::QueryInstances(spec, q));
   Encoder::Options enc = options.encoder;
   enc.define_is_last = true;
-  if (options.use_decomposition) {
-    ASSIGN_OR_RETURN(auto decomposed,
-                     DecomposedEncoder::Build(spec, enc,
-                                              options.use_chase_routing));
-    std::vector<int> relevant =
-        decomposed->decomposition().ComponentsOfInstances(instances);
-    // Vacuity of the untouched components, checked once for all
-    // candidates; the touched ones are covered by the merged seed solve.
-    std::optional<exec::ThreadPool> local_pool;
-    exec::ThreadPool* pool =
-        exec::ResolvePool(options.pool, options.num_threads, local_pool);
-    {
-      ASSIGN_OR_RETURN(std::optional<std::set<Tuple>> sp,
-                       TryComponentSpAnswers(decomposed.get(), spec, q,
-                                             relevant, options, pool));
-      if (sp.has_value()) return *std::move(sp);
-    }
-    ASSIGN_OR_RETURN(bool rest_consistent,
-                     decomposed->SolveAll(relevant, pool));
-    if (!rest_consistent) {
-      return Status::Inconsistent(
-          "Mod(S) is empty: every tuple is vacuously a certain answer");
-    }
-    ASSIGN_OR_RETURN(auto seed, decomposed->BuildMergedEncoder(relevant));
-    return internal::CertainAnswersVia(
-        seed.get(), [&] { return decomposed->BuildMergedEncoder(relevant); },
-        spec, q, instances, options);
+  ASSIGN_OR_RETURN(auto decomposed,
+                   DecomposedEncoder::Build(spec, enc,
+                                            options.use_chase_routing));
+  std::vector<int> relevant =
+      decomposed->decomposition().ComponentsOfInstances(instances);
+  std::optional<exec::ThreadPool> local_pool;
+  exec::ThreadPool* pool =
+      exec::ResolvePool(options.pool, options.num_threads, local_pool);
+  {
+    ASSIGN_OR_RETURN(std::optional<std::set<Tuple>> sp,
+                     TryComponentSpAnswers(decomposed.get(), spec, q,
+                                           relevant, options, pool));
+    if (sp.has_value()) return *std::move(sp);
   }
-  ASSIGN_OR_RETURN(auto seed, Encoder::Build(spec, enc));
+  // Vacuity of the untouched components, checked once for all candidates;
+  // the touched ones are covered by the merged seed solve.
+  ASSIGN_OR_RETURN(bool rest_consistent, decomposed->SolveAll(relevant, pool));
+  if (!rest_consistent) {
+    return Status::Inconsistent(
+        "Mod(S) is empty: every tuple is vacuously a certain answer");
+  }
+  ASSIGN_OR_RETURN(auto seed, decomposed->BuildMergedEncoder(relevant));
   return internal::CertainAnswersVia(
-      seed.get(), [&] { return Encoder::Build(spec, enc); }, spec, q,
-      instances, options);
+      seed.get(), [&] { return decomposed->BuildMergedEncoder(relevant); },
+      spec, q, instances, options);
 }
 
+// The blocking loop is restricted to the coupling components the query's
+// instances touch; the other components only matter through the
+// Mod(S) = ∅ vacuity, which their per-component consistency decides.
 Result<bool> IsCertainCurrentAnswer(const Specification& spec,
                                     const query::Query& q, const Tuple& t,
                                     const CcqaOptions& options) {
@@ -571,20 +498,34 @@ Result<bool> IsCertainCurrentAnswer(const Specification& spec,
     return Status::InvalidArgument(
         "candidate tuple arity does not match query head");
   }
-  if (options.use_sp_fast_path && !spec.HasDenialConstraints() &&
-      query::IsSpQuery(q)) {
-    auto answers = SpCertainCurrentAnswers(spec, q);
-    if (!answers.ok() && answers.status().code() == StatusCode::kInconsistent) {
-      return true;  // vacuous
-    }
-    RETURN_IF_ERROR(answers.status());
-    return answers->count(t) > 0;
-  }
   ASSIGN_OR_RETURN(std::vector<int> instances,
                    internal::QueryInstances(spec, q));
-  // CheckCertainMember returns true on inconsistent specifications (its
-  // first Solve is UNSAT), matching the vacuous-truth convention.
-  return CheckCertainMember(spec, q, t, instances, options);
+  Encoder::Options enc = options.encoder;
+  enc.define_is_last = true;
+  ASSIGN_OR_RETURN(auto decomposed,
+                   DecomposedEncoder::Build(spec, enc,
+                                            options.use_chase_routing));
+  std::vector<int> relevant =
+      decomposed->decomposition().ComponentsOfInstances(instances);
+  std::optional<exec::ThreadPool> local_pool;
+  exec::ThreadPool* pool =
+      exec::ResolvePool(options.pool, options.num_threads, local_pool);
+  {
+    auto sp = TryComponentSpAnswers(decomposed.get(), spec, q, relevant,
+                                    options, pool);
+    if (!sp.ok() && sp.status().code() == StatusCode::kInconsistent) {
+      return true;  // Mod(S) = ∅: vacuously certain
+    }
+    RETURN_IF_ERROR(sp.status());
+    if (sp->has_value()) return (**sp).count(t) > 0;
+  }
+  ASSIGN_OR_RETURN(bool rest_consistent, decomposed->SolveAll(relevant, pool));
+  if (!rest_consistent) return true;  // Mod(S) = ∅: vacuously certain
+  // The merged encoder's first Solve covers the touched components'
+  // vacuity: CheckCertainMemberWith answers true when it is UNSAT.
+  ASSIGN_OR_RETURN(auto encoder, decomposed->BuildMergedEncoder(relevant));
+  return internal::CheckCertainMemberWith(encoder.get(), spec, q, t,
+                                          instances, options);
 }
 
 }  // namespace currency::core

@@ -5,12 +5,18 @@
 // Complexity (Theorem 3.5): coNP-complete data complexity for all of
 // CQ/UCQ/∃FO+/FO; combined complexity Πp2-complete for CQ/UCQ/∃FO+ and
 // PSPACE-complete for FO.  With SP queries and no denial constraints the
-// problem is PTIME (Proposition 6.3, see sp_ccqa.h); the general solver
-// dispatches there automatically.
+// problem is PTIME (Proposition 6.3, see sp_ccqa.h).
 //
-// The general algorithm enumerates the *distinct current instances* of S
-// (models of the order encoding projected onto the is-last selectors) and
-// intersects Q over them, mirroring the guess-and-check upper bound.
+// The solvers split S along its coupling components (src/core/decompose.h).
+// An SP query whose relation lies wholly in chase-eligible components (no
+// denial constraint grounds there) is answered by Proposition 6.3 on the
+// components' assembled chase fixpoints — on a specification without
+// denial constraints that is every SP query.  Otherwise the general
+// algorithm enumerates the *distinct current instances* of S (models of
+// the order encoding projected onto the is-last selectors, one component
+// at a time) and intersects Q over them, mirroring the guess-and-check
+// upper bound; certain-membership loops run on a merged encoder covering
+// only the components the query touches.
 
 #ifndef CURRENCY_SRC_CORE_CCQA_H_
 #define CURRENCY_SRC_CORE_CCQA_H_
@@ -39,32 +45,29 @@ struct ComponentChase;
 /// Options for the CCQA solvers.
 struct CcqaOptions {
   /// Budget on distinct current instances enumerated by the general path.
-  /// On the decomposed path this additionally bounds every component's
-  /// own fragment count (each is a factor of the product, so a component
-  /// exceeding the budget implies the product does too).
+  /// It additionally bounds every component's own fragment count (each is
+  /// a factor of the product, so a component exceeding the budget implies
+  /// the product does too).  Note the product walk materializes each
+  /// component's fragments before visiting any combination, so callers
+  /// that stop early still pay the per-component enumeration (never more
+  /// than this budget).
   int64_t max_current_instances = 1'000'000;
-  /// Dispatch SP queries on constraint-free specifications to the PTIME
-  /// algorithm of Proposition 6.3.
+  /// Answer SP queries whose relation lies wholly in chase-eligible
+  /// components by Proposition 6.3 on the components' chase fixpoints
+  /// (requires `use_chase_routing`).  Disable to force the general
+  /// certain-membership loop.
   bool use_sp_fast_path = true;
-  /// Split the SAT path along the coupling graph: certain-membership
-  /// loops run on a merged encoder covering only the components the
-  /// query's instances touch, and current-instance enumeration walks the
-  /// cartesian product of per-component fragments.  Note the product
-  /// walk materializes each component's fragments before visiting any
-  /// combination, so callers that stop early still pay the per-component
-  /// enumeration (never more than the budget above).
-  bool use_decomposition = true;
-  /// On the decomposed path, serve chase-eligible components (no denial
-  /// constraint grounds on any of their entity groups) from the
-  /// polynomial chase fixpoint instead of SAT: enumeration builds their
-  /// current fragments directly from the per-attribute certain sinks
-  /// (singleton, uncoupled components), and SP queries whose relevant
-  /// components are all eligible answer via Proposition 6.3 on the
-  /// assembled component orders — even when the specification carries
-  /// denial constraints elsewhere.  SAT remains the fallback.
+  /// Serve chase-eligible components (no denial constraint grounds on any
+  /// of their entity groups) from the polynomial chase fixpoint instead of
+  /// SAT: enumeration builds their current fragments directly from the
+  /// per-attribute certain sinks (singleton, uncoupled components), and
+  /// SP queries whose relevant components are all eligible answer via
+  /// Proposition 6.3 on the assembled component orders — even when the
+  /// specification carries denial constraints elsewhere.  SAT remains the
+  /// route for constrained components.  Disable to force pure SAT.
   bool use_chase_routing = true;
-  /// Threads for the decomposed path: consistency pre-solves and the
-  /// per-component current-fragment enumerations run concurrently (the
+  /// Threads: consistency pre-solves and the per-component
+  /// current-fragment enumerations run concurrently (the
   /// certain-membership blocking loop itself stays sequential — it works
   /// one merged encoder).  1 (the default) runs sequentially; answers,
   /// counts and enumeration order are bit-identical for every value.

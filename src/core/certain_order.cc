@@ -5,8 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/core/chase.h"
-#include "src/core/consistency.h"
 #include "src/core/decompose.h"
 #include "src/exec/thread_pool.h"
 
@@ -28,151 +26,85 @@ Result<bool> IsCertainOrder(const Specification& spec,
     }
   }
 
-  // PTIME path (Theorem 6.1(2) / Lemma 6.2): Ot is certain iff it is
-  // contained in PO∞.
-  if (options.use_ptime_path_without_constraints &&
-      !spec.HasDenialConstraints()) {
-    ASSIGN_OR_RETURN(ChaseResult chase, ChaseCopyOrders(spec));
-    if (!chase.consistent) return true;  // vacuous
-    for (const RequiredPair& p : query.pairs) {
-      if (!chase.certain_orders[inst][p.attr].Less(p.before, p.after)) {
-        return false;
-      }
-    }
-    return true;
-  }
-
-  // General path: Ot pair (u, v) is certain iff the encoding plus the
+  // Mod(S) = ∅ makes every order vacuously certain; SolveAll decides that
+  // per component (chase fixpoints first, then SAT).  A pair (u, v) owned
+  // by a SAT-routed component is certain iff the encoding plus the
   // assumption "v ≺ u or incomparable" is unsatisfiable; with totality
   // baked in, that assumption is just ¬ord(u, v).
-  if (options.use_decomposition) {
-    ASSIGN_OR_RETURN(auto decomposed,
-                     DecomposedEncoder::Build(spec, options.encoder,
-                                              options.use_chase_routing));
-    std::optional<exec::ThreadPool> local_pool;
-    exec::ThreadPool* pool =
-        exec::ResolvePool(options.pool, options.num_threads, local_pool);
-    ASSIGN_OR_RETURN(bool consistent,
-                     decomposed->SolveAll({}, pool, &options.portfolio));
-    if (!consistent) return true;  // Mod(S) = ∅: vacuously certain
-    // A reflexive pair is refuted structurally — no solver involved, so
-    // answer first (the SAT probes below could only also answer false).
-    for (const RequiredPair& p : query.pairs) {
-      if (p.before == p.after) return false;  // irreflexivity
-    }
-    // Group the pairs by owning component, preserving query order within
-    // each group: pairs of one component probe one solver sequentially
-    // (its call sequence — and thus its learnt-clause state — is the same
-    // for every thread count), while distinct components are refuted in
-    // parallel.  SolveAll above built and solved every component, so
-    // ComponentEncoder below is a cached read.
-    std::map<int, std::vector<const RequiredPair*>> by_component;
-    for (const RequiredPair& p : query.pairs) {
-      int component = decomposed->decomposition().ComponentOf(
-          inst, rel.tuple(p.before).eid());
-      by_component[component].push_back(&p);
-    }
-    // Dominant components (PortfolioEligible, never chase-routed) leave
-    // the ParallelFor: their probes race diversified solvers through the
-    // component portfolio, which owns the pool, so they run sequentially
-    // after the regular groups (ParallelFor regions must not nest).
-    std::vector<std::pair<int, const std::vector<const RequiredPair*>*>>
-        groups;
-    std::vector<std::pair<int, const std::vector<const RequiredPair*>*>>
-        dominant;
-    groups.reserve(by_component.size());
-    for (const auto& [component, pairs] : by_component) {
-      if (decomposed->PortfolioEligible(component, &options.portfolio,
-                                        pool)) {
-        dominant.emplace_back(component, &pairs);
-      } else {
-        groups.emplace_back(component, &pairs);
-      }
-    }
-    std::vector<char> refuted(groups.size(), 0);
-    exec::CancellationToken cancel;
-    RETURN_IF_ERROR(pool->ParallelFor(
-        static_cast<int>(groups.size()),
-        [&](int k) -> Status {
-          if (decomposed->chase_routed(groups[k].first)) {
-            // Lemma 6.2 on S|_c: a pair is certain iff it is in the
-            // component's PO∞ (CertainLess also refutes cross-entity
-            // pairs — the `after` tuple lies outside the group).  The
-            // fixpoint was cached by SolveAll above.
-            ASSIGN_OR_RETURN(
-                const ComponentChase* chase,
-                decomposed->ComponentChaseFixpoint(groups[k].first));
-            for (const RequiredPair* p : *groups[k].second) {
-              if (!chase->CertainLess(inst, rel.tuple(p->before).eid(),
-                                      p->attr, p->before, p->after)) {
-                refuted[k] = 1;
-                cancel.Cancel();
-                return Status::OK();
-              }
-            }
-            return Status::OK();
-          }
-          ASSIGN_OR_RETURN(Encoder * encoder,
-                           decomposed->ComponentEncoder(groups[k].first));
+  ASSIGN_OR_RETURN(auto decomposed,
+                   DecomposedEncoder::Build(spec, options.encoder,
+                                            options.use_chase_routing));
+  std::optional<exec::ThreadPool> local_pool;
+  exec::ThreadPool* pool =
+      exec::ResolvePool(options.pool, options.num_threads, local_pool);
+  ASSIGN_OR_RETURN(bool consistent, decomposed->SolveAll({}, pool));
+  if (!consistent) return true;  // Mod(S) = ∅: vacuously certain
+  // A reflexive pair is refuted structurally — no solver involved, so
+  // answer first (the probes below could only also answer false).
+  for (const RequiredPair& p : query.pairs) {
+    if (p.before == p.after) return false;  // irreflexivity
+  }
+  // Group the pairs by owning component, preserving query order within
+  // each group: pairs of one component probe one solver sequentially (its
+  // call sequence — and thus its learnt-clause state — is the same for
+  // every thread count), while distinct components are refuted in
+  // parallel.  SolveAll above built and solved every component, so the
+  // ComponentEncoder and ComponentChaseFixpoint reads below are cached.
+  std::map<int, std::vector<const RequiredPair*>> by_component;
+  for (const RequiredPair& p : query.pairs) {
+    int component = decomposed->decomposition().ComponentOf(
+        inst, rel.tuple(p.before).eid());
+    by_component[component].push_back(&p);
+  }
+  std::vector<std::pair<int, const std::vector<const RequiredPair*>*>> groups;
+  groups.reserve(by_component.size());
+  for (const auto& [component, pairs] : by_component) {
+    groups.emplace_back(component, &pairs);
+  }
+  std::vector<char> refuted(groups.size(), 0);
+  exec::CancellationToken cancel;
+  RETURN_IF_ERROR(pool->ParallelFor(
+      static_cast<int>(groups.size()),
+      [&](int k) -> Status {
+        if (decomposed->chase_routed(groups[k].first)) {
+          // Lemma 6.2 on S|_c: a pair is certain iff it is in the
+          // component's PO∞ (CertainLess also refutes cross-entity pairs
+          // — the `after` tuple lies outside the group).
+          ASSIGN_OR_RETURN(const ComponentChase* chase,
+                           decomposed->ComponentChaseFixpoint(groups[k].first));
           for (const RequiredPair* p : *groups[k].second) {
-            if (!encoder->HasPairVar(inst, p->before, p->after)) {
-              // Cross-entity pairs are never comparable.
-              refuted[k] = 1;
-              cancel.Cancel();
-              return Status::OK();
-            }
-            sat::Lit lit = encoder->OrdLit(inst, p->attr, p->before, p->after);
-            if (encoder->solver().SolveWithAssumptions({sat::Negate(lit)}) ==
-                sat::SolveResult::kSat) {
-              // A completion orders them the other way.
+            if (!chase->CertainLess(inst, rel.tuple(p->before).eid(), p->attr,
+                                    p->before, p->after)) {
               refuted[k] = 1;
               cancel.Cancel();
               return Status::OK();
             }
           }
           return Status::OK();
-        },
-        &cancel));
-    for (char r : refuted) {
-      if (r) return false;
-    }
-    // Dominant-component probes: same pair order, same verdicts — only
-    // the time to each verdict changes, so the COP answer is identical
-    // to the single-solver path.
-    for (const auto& [component, pairs] : dominant) {
-      ASSIGN_OR_RETURN(Encoder * encoder,
-                       decomposed->ComponentEncoder(component));
-      ASSIGN_OR_RETURN(
-          sat::Portfolio * race,
-          decomposed->ComponentPortfolio(component, options.portfolio, pool));
-      for (const RequiredPair* p : *pairs) {
-        if (!encoder->HasPairVar(inst, p->before, p->after)) {
-          return false;  // cross-entity pairs are never comparable
         }
-        sat::Lit lit = encoder->OrdLit(inst, p->attr, p->before, p->after);
-        ASSIGN_OR_RETURN(sat::SolveResult verdict,
-                         race->Solve({sat::Negate(lit)}));
-        if (verdict == sat::SolveResult::kSat) {
-          return false;  // a completion orders them the other way
+        ASSIGN_OR_RETURN(Encoder * encoder,
+                         decomposed->ComponentEncoder(groups[k].first));
+        for (const RequiredPair* p : *groups[k].second) {
+          if (!encoder->HasPairVar(inst, p->before, p->after)) {
+            // Cross-entity pairs are never comparable.
+            refuted[k] = 1;
+            cancel.Cancel();
+            return Status::OK();
+          }
+          sat::Lit lit = encoder->OrdLit(inst, p->attr, p->before, p->after);
+          if (encoder->solver().SolveWithAssumptions({sat::Negate(lit)}) ==
+              sat::SolveResult::kSat) {
+            // A completion orders them the other way.
+            refuted[k] = 1;
+            cancel.Cancel();
+            return Status::OK();
+          }
         }
-      }
-    }
-    return true;
-  }
-  ASSIGN_OR_RETURN(auto encoder, Encoder::Build(spec, options.encoder));
-  if (encoder->solver().Solve() == sat::SolveResult::kUnsat) {
-    return true;  // Mod(S) = ∅: vacuously certain
-  }
-  for (const RequiredPair& p : query.pairs) {
-    if (p.before == p.after) return false;  // irreflexivity
-    if (!encoder->HasPairVar(inst, p.before, p.after)) {
-      return false;  // cross-entity pairs are never comparable
-    }
-    sat::Lit lit = encoder->OrdLit(inst, p.attr, p.before, p.after);
-    if (encoder->solver().SolveWithAssumptions({sat::Negate(lit)}) ==
-        sat::SolveResult::kSat) {
-      return false;  // a completion orders them the other way
-    }
+        return Status::OK();
+      },
+      &cancel));
+  for (char r : refuted) {
+    if (r) return false;
   }
   return true;
 }

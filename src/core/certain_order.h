@@ -5,6 +5,12 @@
 // Complexity (Theorem 3.4): coNP-complete (data), Πp2-complete (combined);
 // PTIME without denial constraints via PO∞ (Theorem 6.1, Lemma 6.2).
 // Vacuously true when Mod(S) = ∅.
+//
+// Each queried pair is decided inside the coupling component owning its
+// entity group: by PO∞-membership on the component's chase fixpoint when
+// no denial constraint grounds there (Lemma 6.2 applied to S|_c), by a SAT
+// refutation probe otherwise.  Without denial constraints every pair takes
+// the chase, which is Theorem 6.1's PTIME check.
 
 #ifndef CURRENCY_SRC_CORE_CERTAIN_ORDER_H_
 #define CURRENCY_SRC_CORE_CERTAIN_ORDER_H_
@@ -15,7 +21,6 @@
 #include "src/common/result.h"
 #include "src/core/encoder.h"
 #include "src/core/specification.h"
-#include "src/sat/portfolio.h"
 
 namespace currency::exec {
 class ThreadPool;
@@ -38,33 +43,20 @@ struct CurrencyOrderQuery {
 
 /// Options for IsCertainOrder.
 struct CopOptions {
-  /// Use the PTIME PO∞ check when no denial constraints are present.
-  bool use_ptime_path_without_constraints = true;
-  /// Split the SAT path along the coupling graph: the Mod(S) = ∅ vacuity
-  /// check solves each small component once, and every queried pair is
-  /// refuted inside the single component owning its entity group.
-  bool use_decomposition = true;
-  /// On the decomposed path, answer pairs owned by chase-eligible
-  /// components from the component chase fixpoint (pair certain iff it is
-  /// in the component's PO∞ — Lemma 6.2 applied to S|_c) instead of SAT
-  /// probes; SAT remains the fallback for constrained components.
+  /// Answer pairs owned by chase-eligible components from the component
+  /// chase fixpoint (pair certain iff it is in the component's PO∞ —
+  /// Lemma 6.2 applied to S|_c) instead of SAT probes; SAT remains the
+  /// route for constrained components.  Disable to force pure SAT.
   bool use_chase_routing = true;
-  /// Threads for the decomposed path: the vacuity check solves components
-  /// concurrently, then the queried pairs are refuted in parallel per
-  /// owning component (pairs sharing a component stay in query order on
-  /// that component's solver).  1 (the default) runs sequentially; the
-  /// answer is bit-identical for every value.
+  /// Threads: the vacuity check solves components concurrently, then the
+  /// queried pairs are refuted in parallel per owning component (pairs
+  /// sharing a component stay in query order on that component's solver).
+  /// 1 (the default) runs sequentially; the answer is bit-identical for
+  /// every value.
   int num_threads = 1;
   /// Optional caller-owned pool reused across calls (overrides
   /// `num_threads`; not owned).  See CpsOptions::pool.
   exec::ThreadPool* pool = nullptr;
-  /// Verdict-deterministic portfolio racing for dominant components (off
-  /// by default): the vacuity base solves and the refutation probes of
-  /// components with at least `portfolio.min_component_size` entity
-  /// groups race diversified solvers, first verdict wins.  Probe answers
-  /// are SAT/UNSAT verdicts, so the COP answer is unchanged for every
-  /// thread count and seed set.
-  sat::PortfolioOptions portfolio;
   Encoder::Options encoder;
 };
 

@@ -3,7 +3,6 @@
 #include <optional>
 #include <utility>
 
-#include "src/core/chase.h"
 #include "src/core/decompose.h"
 #include "src/exec/thread_pool.h"
 
@@ -11,46 +10,28 @@ namespace currency::core {
 
 Result<CpsOutcome> DecideConsistency(const Specification& spec,
                                      const CpsOptions& options) {
+  // Mod(S) factors over coupling components, so S is consistent iff every
+  // component is; SolveAll decides the chase-routed ones from their
+  // fixpoints, then short-circuits on the first UNSAT SAT component (and,
+  // with num_threads > 1, solves components concurrently).
+  ASSIGN_OR_RETURN(
+      auto decomposed,
+      DecomposedEncoder::Build(
+          spec, options.encoder,
+          options.use_chase_routing && !options.want_witness));
   CpsOutcome outcome;
-  if (options.use_ptime_path_without_constraints &&
-      !spec.HasDenialConstraints() && !options.want_witness) {
-    // Theorem 6.1: without denial constraints the chase is sound and
-    // complete for CPS.
-    ASSIGN_OR_RETURN(ChaseResult chase, ChaseCopyOrders(spec));
-    outcome.consistent = chase.consistent;
-    outcome.used_ptime_path = true;
-    return outcome;
+  outcome.components = decomposed->num_components();
+  outcome.used_ptime_path = true;
+  for (int c = 0; c < outcome.components; ++c) {
+    if (!decomposed->chase_routed(c)) outcome.used_ptime_path = false;
   }
-  if (options.use_decomposition) {
-    // Mod(S) factors over coupling components, so S is consistent iff
-    // every component is; SolveAll short-circuits on the first UNSAT one
-    // (and, with num_threads > 1, solves components concurrently).
-    ASSIGN_OR_RETURN(
-        auto decomposed,
-        DecomposedEncoder::Build(
-            spec, options.encoder,
-            options.use_chase_routing && !options.want_witness));
-    outcome.components = decomposed->num_components();
-    std::optional<exec::ThreadPool> local_pool;
-    exec::ThreadPool* pool =
-        exec::ResolvePool(options.pool, options.num_threads, local_pool);
-    // Portfolio racing is verdict-only: a raced primary can report kSat
-    // without holding a model, so witness extraction keeps every
-    // component on the single-solver path.
-    ASSIGN_OR_RETURN(
-        outcome.consistent,
-        decomposed->SolveAll(
-            {}, pool, options.want_witness ? nullptr : &options.portfolio));
-    if (outcome.consistent && options.want_witness) {
-      ASSIGN_OR_RETURN(Completion witness, decomposed->ExtractCompletion());
-      outcome.witness = std::move(witness);
-    }
-    return outcome;
-  }
-  ASSIGN_OR_RETURN(auto encoder, Encoder::Build(spec, options.encoder));
-  outcome.consistent = encoder->solver().Solve() == sat::SolveResult::kSat;
+  std::optional<exec::ThreadPool> local_pool;
+  exec::ThreadPool* pool =
+      exec::ResolvePool(options.pool, options.num_threads, local_pool);
+  ASSIGN_OR_RETURN(outcome.consistent, decomposed->SolveAll({}, pool));
   if (outcome.consistent && options.want_witness) {
-    outcome.witness = encoder->ExtractCompletion();
+    ASSIGN_OR_RETURN(Completion witness, decomposed->ExtractCompletion());
+    outcome.witness = std::move(witness);
   }
   return outcome;
 }

@@ -3,8 +3,12 @@
 //
 // Complexity (Theorem 3.1): NP-complete in data complexity, Σp2-complete
 // in combined complexity; PTIME without denial constraints (Theorem 6.1).
-// The solver realizes the upper bound with CDCL search over the order
-// encoding, and dispatches to the chase on denial-constraint-free inputs.
+// The solver splits S along its coupling components (src/core/decompose.h)
+// and decides each one on its own: components no denial constraint grounds
+// on go to the polynomial copy-order chase (Theorem 6.1 applied to S|_c),
+// the rest to CDCL search over the order encoding.  On a specification
+// without denial constraints every component takes the chase, so this one
+// route is the PTIME procedure of Theorem 6.1.
 
 #ifndef CURRENCY_SRC_CORE_CONSISTENCY_H_
 #define CURRENCY_SRC_CORE_CONSISTENCY_H_
@@ -15,7 +19,6 @@
 #include "src/core/completion.h"
 #include "src/core/encoder.h"
 #include "src/core/specification.h"
-#include "src/sat/portfolio.h"
 
 namespace currency::exec {
 class ThreadPool;
@@ -25,53 +28,40 @@ namespace currency::core {
 
 /// Options for DecideConsistency.
 struct CpsOptions {
-  /// Use the PTIME chase when the specification has no denial constraints
-  /// (Theorem 6.1).  Disable to force the SAT path (ablation).
-  bool use_ptime_path_without_constraints = true;
-  /// Always construct a witness completion (forces the SAT path even when
-  /// the chase decides consistency).
+  /// Always construct a witness completion (forces every component onto
+  /// SAT, since the chase decides consistency without building a model).
   bool want_witness = false;
-  /// Split the SAT path along the coupling graph (src/core/decompose.h):
-  /// one small instance per component, solved smallest-first with an
-  /// early exit on the first UNSAT component.  Disable to force one
-  /// monolithic encoding (ablation / equivalence testing).
-  bool use_decomposition = true;
-  /// On the decomposed path, decide chase-eligible components (no denial
-  /// grounding touches them) by the polynomial copy-order chase instead
-  /// of building their SAT encoders; SAT remains the fallback for the
-  /// constrained components of the same specification.  Ignored when
-  /// `want_witness` forces full encoders.  Disable to force pure SAT
-  /// (equivalence testing / ablation).
+  /// Decide chase-eligible components (no denial grounding touches them)
+  /// by the polynomial copy-order chase instead of building their SAT
+  /// encoders; SAT remains the route for the constrained components of
+  /// the same specification.  Ignored when `want_witness` forces full
+  /// encoders.  Disable to force pure SAT (the equivalence suites' second
+  /// reference next to the brute-force oracle).
   bool use_chase_routing = true;
-  /// Threads for the decomposed path (src/exec/thread_pool.h): components
-  /// are solved concurrently with first-UNSAT cancellation.  Counts the
-  /// calling thread; 1 (the default) runs strictly sequentially.  Answers
-  /// and witnesses are bit-identical for every value.
+  /// Threads (src/exec/thread_pool.h): components are solved concurrently
+  /// with first-UNSAT cancellation.  Counts the calling thread; 1 (the
+  /// default) runs strictly sequentially.  Answers and witnesses are
+  /// bit-identical for every value.
   int num_threads = 1;
-  /// Optional caller-owned pool for the decomposed path, reused across
-  /// calls instead of spawning pool threads per invocation (the serving
-  /// layer passes its session pool).  When set it overrides
-  /// `num_threads`; not owned — it must outlive the call and must not be
-  /// inside a concurrent ParallelFor region.
+  /// Optional caller-owned pool, reused across calls instead of spawning
+  /// pool threads per invocation (the serving layer passes its session
+  /// pool).  When set it overrides `num_threads`; not owned — it must
+  /// outlive the call and must not be inside a concurrent ParallelFor
+  /// region.
   exec::ThreadPool* pool = nullptr;
-  /// Verdict-deterministic portfolio racing for dominant components (off
-  /// by default): components with at least `portfolio.min_component_size`
-  /// entity groups race diversified solvers on the pool, first verdict
-  /// wins.  Verdict-only — ignored when `want_witness` (a raced primary
-  /// may hold no model), so answers and witnesses stay bit-identical.
-  sat::PortfolioOptions portfolio;
   Encoder::Options encoder;
 };
 
 /// Outcome of CPS.
 struct CpsOutcome {
   bool consistent = false;
-  /// A consistent completion, when `consistent` and the SAT path ran.
+  /// A consistent completion, when `consistent` and `want_witness`.
   std::optional<Completion> witness;
-  /// True iff the PTIME chase decided the instance.
+  /// True iff every coupling component was chase-routed, so the chase
+  /// decided the instance and no SAT encoder was built (always the case
+  /// without denial constraints unless `want_witness` or forced SAT).
   bool used_ptime_path = false;
-  /// Number of coupling components the decomposed SAT path saw (0 when
-  /// the monolithic or chase path answered).
+  /// Number of coupling components of the specification.
   int components = 0;
 };
 

@@ -306,7 +306,6 @@ Result<std::unique_ptr<DecomposedEncoder>> DecomposedEncoder::Build(
   }
   de->encoders_.resize(n);
   de->chases_.resize(n);
-  de->portfolios_.resize(n);
   return de;
 }
 
@@ -386,49 +385,8 @@ Result<std::unique_ptr<Encoder>> DecomposedEncoder::BuildComponentEncoder(
   return Encoder::Build(*spec_, options);
 }
 
-bool DecomposedEncoder::PortfolioEligible(
-    int c, const sat::PortfolioOptions* portfolio,
-    const exec::ThreadPool* pool) const {
-  if (portfolio == nullptr || !portfolio->enabled) return false;
-  if (pool == nullptr || pool->num_threads() <= 1) return false;
-  if (c < 0 || c >= num_components() || chase_routed(c)) return false;
-  return static_cast<int>(decomposition_.component(c).size()) >=
-         portfolio->min_component_size;
-}
-
-Result<sat::Portfolio*> DecomposedEncoder::ComponentPortfolio(
-    int c, const sat::PortfolioOptions& portfolio, exec::ThreadPool* pool) {
-  if (c < 0 || c >= num_components()) {
-    return Status::InvalidArgument("component index out of range");
-  }
-  if (portfolios_[c] == nullptr) {
-    ASSIGN_OR_RETURN(Encoder * primary, ComponentEncoder(c));
-    auto slot = std::make_unique<PortfolioSlot>();
-    PortfolioSlot* raw = slot.get();
-    // The spawn closure builds a rival encoder over the same component
-    // (same read-only inputs, hence the same CNF) with diversified
-    // solver knobs, and parks it in the slot so its solver outlives the
-    // Portfolio that borrows it.
-    auto spawn = [this, c, raw](
-                     int /*config*/, const sat::Solver::Options& options)
-        -> Result<sat::Solver*> {
-      ASSIGN_OR_RETURN(std::unique_ptr<Encoder> rival,
-                       BuildComponentEncoder(c, options));
-      raw->rivals.push_back(std::move(rival));
-      return &raw->rivals.back()->solver();
-    };
-    slot->portfolio = std::make_unique<sat::Portfolio>(
-        &primary->solver(), std::move(spawn), portfolio, pool);
-    portfolios_[c] = std::move(slot);
-  }
-  return portfolios_[c]->portfolio.get();
-}
-
 std::unique_ptr<Encoder> DecomposedEncoder::TakeComponentEncoder(int c) {
   if (c < 0 || c >= num_components()) return nullptr;
-  // A portfolio slot borrows this encoder's solver as its primary; drop
-  // it (rivals included) rather than leave it dangling.
-  portfolios_[c] = nullptr;
   return std::move(encoders_[c]);
 }
 
@@ -460,9 +418,8 @@ Result<std::unique_ptr<Encoder>> DecomposedEncoder::BuildMergedEncoder(
   return Encoder::Build(*spec_, options);
 }
 
-Result<bool> DecomposedEncoder::SolveAll(
-    const std::vector<int>& skip, exec::ThreadPool* pool,
-    const sat::PortfolioOptions* portfolio) {
+Result<bool> DecomposedEncoder::SolveAll(const std::vector<int>& skip,
+                                         exec::ThreadPool* pool) {
   // Smallest encoding first: an UNSAT answer then costs as little as the
   // cheapest refuting component allows.  The weight estimates the number
   // of order variables (Σ m² per node, scaled by data attributes).
@@ -481,12 +438,7 @@ Result<bool> DecomposedEncoder::SolveAll(
       if (!chase->consistent) return false;
     }
   }
-  // Dominant components (PortfolioEligible) leave the fan-out: they are
-  // raced sequentially below, one ParallelFor region at a time from this
-  // thread, because regions must not nest on one pool.  The small
-  // components keep the existing one-task-per-component path.
   std::vector<std::pair<int64_t, int>> order;
-  std::vector<std::pair<int64_t, int>> dominant;
   order.reserve(num_components());
   for (int c = 0; c < num_components(); ++c) {
     if (skipped[c]) continue;
@@ -498,14 +450,9 @@ Result<bool> DecomposedEncoder::SolveAll(
           inst.relation().EntityGroups().at(node.eid).size());
       weight += m * m * inst.schema().num_data_attributes();
     }
-    if (PortfolioEligible(c, portfolio, pool)) {
-      dominant.emplace_back(weight, c);
-    } else {
-      order.emplace_back(weight, c);
-    }
+    order.emplace_back(weight, c);
   }
   std::sort(order.begin(), order.end());
-  std::sort(dominant.begin(), dominant.end());
   // One task per component, claimed smallest-first, with cooperative
   // first-UNSAT cancellation.  Each task builds and solves only its own
   // component encoder (thread confinement; see the header), so every
@@ -532,14 +479,6 @@ Result<bool> DecomposedEncoder::SolveAll(
       &cancel));
   for (char u : unsat) {
     if (u) return false;
-  }
-  // Dominant components last (the cheap refuters above already had their
-  // short-circuit chance), smallest-first, one verdict race at a time.
-  for (const auto& [weight, c] : dominant) {
-    ASSIGN_OR_RETURN(sat::Portfolio * race,
-                     ComponentPortfolio(c, *portfolio, pool));
-    ASSIGN_OR_RETURN(sat::SolveResult verdict, race->Solve());
-    if (verdict == sat::SolveResult::kUnsat) return false;
   }
   return true;
 }

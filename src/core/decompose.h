@@ -25,8 +25,13 @@
 //     of per-component current fragments; certain-membership checks run
 //     on a merged encoder covering just the components a query touches.
 //
-// Equivalence with the monolithic encoder is property-tested against the
-// brute-force oracle (tests/oracle_invariants_test.cc) and benchmarked in
+// Every decision procedure (CPS, COP, DCIP, CCQA) takes this decomposed
+// route; with chase routing on, components no denial constraint grounds on
+// are decided by the copy-order chase instead of SAT, which on a
+// constraint-free specification is exactly Theorem 6.1.  Answers are
+// property-tested against the brute-force oracle and against forced-SAT
+// routing (tests/oracle_invariants_test.cc,
+// tests/chase_routing_equivalence_test.cc) and benchmarked in
 // bench/bench_scale_decomposition.cc.
 
 #ifndef CURRENCY_SRC_CORE_DECOMPOSE_H_
@@ -44,7 +49,6 @@
 #include "src/core/encoder.h"
 #include "src/core/specification.h"
 #include "src/exec/thread_pool.h"
-#include "src/sat/portfolio.h"
 
 namespace currency::core {
 
@@ -215,29 +219,12 @@ class DecomposedEncoder {
     return BuildComponentEncoder(c, options_.solver);
   }
 
-  /// Same, with solver-diversification knobs overriding the shared
-  /// options — the portfolio layer's rival builds.  The CNF a component
-  /// encoder emits is a function of the read-only inputs only, so rival
-  /// encoders carry exactly the same formula as the primary.
+  /// Same, with solver knobs overriding the shared options — e.g. the
+  /// diversified rivals a caller races through a sat::Portfolio.  The CNF
+  /// a component encoder emits is a function of the read-only inputs
+  /// only, so every such encoder carries exactly the same formula.
   Result<std::unique_ptr<Encoder>> BuildComponentEncoder(
       int c, const sat::Solver::Options& solver_options) const;
-
-  /// True iff `c` would be routed through the portfolio: the options are
-  /// given and enabled, the pool can actually race (> 1 thread), the
-  /// component is not chase-routed, and its member count reaches
-  /// min_component_size.
-  bool PortfolioEligible(int c, const sat::PortfolioOptions* portfolio,
-                         const exec::ThreadPool* pool) const;
-
-  /// The (cached) verdict-race context fronting component `c`'s cached
-  /// encoder solver.  Rival encoders are spawned lazily inside the
-  /// returned Portfolio and owned by this DecomposedEncoder.  Same
-  /// slot-confinement contract as ComponentEncoder; callers must pass
-  /// the same pool on every call for a given component.  After a race
-  /// the primary encoder may hold NO model even on a kSat verdict —
-  /// callers needing a witness re-Solve() on ComponentEncoder(c).
-  Result<sat::Portfolio*> ComponentPortfolio(
-      int c, const sat::PortfolioOptions& portfolio, exec::ThreadPool* pool);
 
   /// A fresh encoder covering exactly the union of `components` (callers
   /// own it; it is not cached).  Used by CCQA's certain-membership loop,
@@ -278,19 +265,8 @@ class DecomposedEncoder {
   /// bit-identical to the sequential path for every thread count: each
   /// component's encoder sees exactly the same build and the same single
   /// Solve call either way.
-  ///
-  /// When `portfolio` is given and enabled, PortfolioEligible (dominant)
-  /// components are instead raced through ComponentPortfolio — one race
-  /// at a time, from the calling thread, AFTER the regular components
-  /// (ParallelFor regions must not nest, and the small components are
-  /// the cheap short-circuit candidates).  Verdicts are race-independent
-  /// so the boolean answer is unchanged, but a raced component's encoder
-  /// may hold no model afterwards: callers that extract witnesses must
-  /// not pass `portfolio` (consistency.cc routes want_witness queries to
-  /// the single-solver path for exactly this reason).
   Result<bool> SolveAll(const std::vector<int>& skip = {},
-                        exec::ThreadPool* pool = nullptr,
-                        const sat::PortfolioOptions* portfolio = nullptr);
+                        exec::ThreadPool* pool = nullptr);
 
   /// Merges the per-component witness models into one completion.
   /// Requires an immediately preceding SolveAll() == true.
@@ -314,14 +290,6 @@ class DecomposedEncoder {
   /// Lazily computed per-component chase fixpoints (eligible components
   /// only; same slot confinement as encoders_).
   std::vector<std::unique_ptr<ComponentChase>> chases_;
-  /// Lazily created per-component verdict races: the Portfolio plus the
-  /// rival encoders it spawned (their solvers are borrowed by the
-  /// Portfolio, so the encoders must live exactly as long as it does).
-  struct PortfolioSlot {
-    std::vector<std::unique_ptr<Encoder>> rivals;
-    std::unique_ptr<sat::Portfolio> portfolio;
-  };
-  std::vector<std::unique_ptr<PortfolioSlot>> portfolios_;
 };
 
 }  // namespace currency::core

@@ -3,7 +3,6 @@
 #include <optional>
 #include <vector>
 
-#include "src/core/chase.h"
 #include "src/core/decompose.h"
 #include "src/exec/thread_pool.h"
 
@@ -17,7 +16,7 @@ namespace internal {
 /// is-last selectors for are examined — the others belong to different
 /// coupling components and are checked against their own encoders.
 Result<bool> DeterministicProbe(const Specification& spec, Encoder* encoder,
-                                int inst, sat::Portfolio* portfolio) {
+                                int inst) {
   const TemporalInstance& instance = spec.instance(inst);
   const Relation& rel = instance.relation();
   // Phase 1 — snapshot every baseline from the model in hand, BEFORE any
@@ -57,16 +56,12 @@ Result<bool> DeterministicProbe(const Specification& spec, Encoder* encoder,
       }
     }
   }
-  // Phase 2 — probe the alternatives.  Every probe is a bare verdict, so
-  // racing it through a portfolio cannot change the answer.
+  // Phase 2 — probe the alternatives.
   for (const Probe& probe : probes) {
     sat::Lit assume =
         sat::MakeLit(encoder->IsLastVar(inst, probe.attr, probe.candidate));
-    if (portfolio != nullptr) {
-      ASSIGN_OR_RETURN(sat::SolveResult verdict, portfolio->Solve({assume}));
-      if (verdict == sat::SolveResult::kSat) return false;
-    } else if (encoder->solver().SolveWithAssumptions({assume}) ==
-               sat::SolveResult::kSat) {
+    if (encoder->solver().SolveWithAssumptions({assume}) ==
+        sat::SolveResult::kSat) {
       return false;
     }
   }
@@ -95,123 +90,54 @@ bool DeterministicViaComponentChase(const Specification& spec,
 
 }  // namespace internal
 
-namespace {
-
-/// PTIME path (Theorem 6.1(3)): deterministic iff for each entity and
-/// attribute, all sinks of PO∞ agree on the attribute value.
-Result<bool> DeterministicViaChase(const Specification& spec,
-                                   const ChaseResult& chase, int inst) {
-  const TemporalInstance& instance = spec.instance(inst);
-  const Relation& rel = instance.relation();
-  for (AttrIndex a = 1; a < instance.schema().arity(); ++a) {
-    const PartialOrder& po = chase.certain_orders[inst][a];
-    for (const auto& [eid, members] : rel.EntityGroups()) {
-      (void)eid;
-      std::vector<int> sinks = po.SinksWithin(members);
-      for (size_t k = 1; k < sinks.size(); ++k) {
-        if (!(rel.tuple(sinks[k]).at(a) == rel.tuple(sinks[0]).at(a))) {
-          return false;
-        }
-      }
-    }
-  }
-  return true;
-}
-
-}  // namespace
-
 Result<bool> IsDeterministicForRelation(const Specification& spec,
                                         const std::string& relation,
                                         const DcipOptions& options) {
   ASSIGN_OR_RETURN(int inst, spec.InstanceIndex(relation));
-  if (options.use_ptime_path_without_constraints &&
-      !spec.HasDenialConstraints()) {
-    ASSIGN_OR_RETURN(ChaseResult chase, ChaseCopyOrders(spec));
-    if (!chase.consistent) return true;  // vacuous
-    return DeterministicViaChase(spec, chase, inst);
-  }
   Encoder::Options enc = options.encoder;
   enc.define_is_last = true;
-  if (options.use_decomposition) {
-    ASSIGN_OR_RETURN(auto decomposed,
-                     DecomposedEncoder::Build(spec, enc,
-                                              options.use_chase_routing));
-    std::optional<exec::ThreadPool> local_pool;
-    exec::ThreadPool* pool =
-        exec::ResolvePool(options.pool, options.num_threads, local_pool);
-    ASSIGN_OR_RETURN(bool consistent,
-                     decomposed->SolveAll({}, pool, &options.portfolio));
-    if (!consistent) return true;  // vacuous
-    // Each entity group's determinism is decided by its own component
-    // (SolveAll left every regular component encoder holding a model), so
-    // the groups probe concurrently — one task per component, cancelling
-    // the rest once any witness of non-determinism is found.  Dominant
-    // components leave the ParallelFor: their probes race through the
-    // component portfolio, which owns the pool, so they run sequentially
-    // afterwards (ParallelFor regions must not nest).
-    const std::vector<int>& all_components =
-        decomposed->decomposition().ComponentsOfInstance(inst);
-    std::vector<int> components;
-    std::vector<int> dominant;
-    components.reserve(all_components.size());
-    for (int c : all_components) {
-      if (decomposed->PortfolioEligible(c, &options.portfolio, pool)) {
-        dominant.push_back(c);
-      } else {
-        components.push_back(c);
-      }
-    }
-    std::vector<char> nondeterministic(components.size(), 0);
-    exec::CancellationToken cancel;
-    RETURN_IF_ERROR(pool->ParallelFor(
-        static_cast<int>(components.size()),
-        [&](int k) -> Status {
-          if (decomposed->chase_routed(components[k])) {
-            ASSIGN_OR_RETURN(
-                const ComponentChase* chase,
-                decomposed->ComponentChaseFixpoint(components[k]));
-            if (!internal::DeterministicViaComponentChase(spec, *chase,
-                                                          inst)) {
-              nondeterministic[k] = 1;
-              cancel.Cancel();
-            }
-            return Status::OK();
-          }
+  ASSIGN_OR_RETURN(auto decomposed,
+                   DecomposedEncoder::Build(spec, enc,
+                                            options.use_chase_routing));
+  std::optional<exec::ThreadPool> local_pool;
+  exec::ThreadPool* pool =
+      exec::ResolvePool(options.pool, options.num_threads, local_pool);
+  ASSIGN_OR_RETURN(bool consistent, decomposed->SolveAll({}, pool));
+  if (!consistent) return true;  // vacuous
+  // Each entity group's determinism is decided by its own component
+  // (SolveAll left every SAT-routed component encoder holding a model), so
+  // the groups probe concurrently — one task per component, cancelling
+  // the rest once any witness of non-determinism is found.
+  const std::vector<int>& components =
+      decomposed->decomposition().ComponentsOfInstance(inst);
+  std::vector<char> nondeterministic(components.size(), 0);
+  exec::CancellationToken cancel;
+  RETURN_IF_ERROR(pool->ParallelFor(
+      static_cast<int>(components.size()),
+      [&](int k) -> Status {
+        bool deterministic = true;
+        if (decomposed->chase_routed(components[k])) {
+          ASSIGN_OR_RETURN(const ComponentChase* chase,
+                           decomposed->ComponentChaseFixpoint(components[k]));
+          deterministic =
+              internal::DeterministicViaComponentChase(spec, *chase, inst);
+        } else {
           ASSIGN_OR_RETURN(Encoder * encoder,
                            decomposed->ComponentEncoder(components[k]));
-          ASSIGN_OR_RETURN(bool deterministic,
+          ASSIGN_OR_RETURN(deterministic,
                            internal::DeterministicProbe(spec, encoder, inst));
-          if (!deterministic) {
-            nondeterministic[k] = 1;
-            cancel.Cancel();
-          }
-          return Status::OK();
-        },
-        &cancel));
-    for (char n : nondeterministic) {
-      if (n) return false;
-    }
-    for (int c : dominant) {
-      ASSIGN_OR_RETURN(Encoder * encoder, decomposed->ComponentEncoder(c));
-      // The raced base solve was verdict-only, so the primary may hold no
-      // model; re-establish one for the phase-1 baseline snapshot.
-      if (encoder->solver().Solve() != sat::SolveResult::kSat) {
-        return Status::Internal("consistent component re-solved unsat");
-      }
-      ASSIGN_OR_RETURN(
-          sat::Portfolio * race,
-          decomposed->ComponentPortfolio(c, options.portfolio, pool));
-      ASSIGN_OR_RETURN(bool deterministic,
-                       internal::DeterministicProbe(spec, encoder, inst, race));
-      if (!deterministic) return false;
-    }
-    return true;
+        }
+        if (!deterministic) {
+          nondeterministic[k] = 1;
+          cancel.Cancel();
+        }
+        return Status::OK();
+      },
+      &cancel));
+  for (char n : nondeterministic) {
+    if (n) return false;
   }
-  ASSIGN_OR_RETURN(auto encoder, Encoder::Build(spec, enc));
-  if (encoder->solver().Solve() == sat::SolveResult::kUnsat) {
-    return true;  // vacuous
-  }
-  return internal::DeterministicProbe(spec, encoder.get(), inst);
+  return true;
 }
 
 Result<bool> IsDeterministic(const Specification& spec,

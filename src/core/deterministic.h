@@ -5,6 +5,12 @@
 // Complexity (Theorem 3.4): coNP-complete (data), Πp2-complete (combined);
 // PTIME without denial constraints via sink-agreement on PO∞
 // (Theorem 6.1).  Vacuously true when Mod(S) = ∅.
+//
+// Determinism is decided per coupling component: by sink agreement on the
+// component's chase fixpoint when no denial constraint grounds there
+// (Theorem 6.1(3) applied to S|_c), by SAT probes on the component encoder
+// otherwise.  Without denial constraints every component takes the chase,
+// which is Theorem 6.1's PTIME check.
 
 #ifndef CURRENCY_SRC_CORE_DETERMINISTIC_H_
 #define CURRENCY_SRC_CORE_DETERMINISTIC_H_
@@ -15,7 +21,6 @@
 #include "src/core/chase.h"
 #include "src/core/encoder.h"
 #include "src/core/specification.h"
-#include "src/sat/portfolio.h"
 
 namespace currency::exec {
 class ThreadPool;
@@ -25,32 +30,19 @@ namespace currency::core {
 
 /// Options for the DCIP solvers.
 struct DcipOptions {
-  /// Use the PTIME sink-agreement check when no denial constraints exist.
-  bool use_ptime_path_without_constraints = true;
-  /// Split the SAT path along the coupling graph: every entity group's
-  /// determinism is probed inside its own component encoder.
-  bool use_decomposition = true;
-  /// On the decomposed path, decide chase-eligible components by
-  /// sink-agreement on the component chase fixpoint (Theorem 6.1(3)
-  /// applied to S|_c) instead of SAT probes; SAT remains the fallback for
-  /// constrained components.
+  /// Decide chase-eligible components by sink-agreement on the component
+  /// chase fixpoint (Theorem 6.1(3) applied to S|_c) instead of SAT
+  /// probes; SAT remains the route for constrained components.  Disable
+  /// to force pure SAT.
   bool use_chase_routing = true;
-  /// Threads for the decomposed path: the consistency pre-solve and the
-  /// per-component determinism probes run concurrently (each component's
-  /// probe sequence is confined to one task).  1 (the default) runs
-  /// sequentially; the answer is bit-identical for every value.
+  /// Threads: the consistency pre-solve and the per-component determinism
+  /// probes run concurrently (each component's probe sequence is confined
+  /// to one task).  1 (the default) runs sequentially; the answer is
+  /// bit-identical for every value.
   int num_threads = 1;
   /// Optional caller-owned pool reused across calls (overrides
   /// `num_threads`; not owned).  See CpsOptions::pool.
   exec::ThreadPool* pool = nullptr;
-  /// Verdict-deterministic portfolio racing for dominant components (off
-  /// by default): the consistency pre-solve and the phase-2 determinism
-  /// probes of components with at least `portfolio.min_component_size`
-  /// entity groups race diversified solvers, first verdict wins.  The
-  /// phase-1 baseline still reads a model, so dominant components
-  /// re-Solve their primary once before probing; the DCIP answer is
-  /// model-independent and thus unchanged.
-  sat::PortfolioOptions portfolio;
   Encoder::Options encoder;
 };
 
@@ -73,12 +65,9 @@ namespace internal {
 /// sequence generally leaves it without one, so callers re-Solve before
 /// probing again.  The answer is model-independent: whichever baseline
 /// model is in hand, some alternative-value candidate is satisfiable iff
-/// the group's current instance is not unique.  When `portfolio` is
-/// non-null (its primary must be `encoder`'s solver), the phase-2 probes
-/// race diversified solvers — verdict-only, so the answer is identical.
+/// the group's current instance is not unique.
 Result<bool> DeterministicProbe(const Specification& spec, Encoder* encoder,
-                                int inst,
-                                sat::Portfolio* portfolio = nullptr);
+                                int inst);
 
 /// The chase-path determinism check shared by the one-shot DCIP solvers
 /// and the serving layer: for every entity group of `inst` inside the

@@ -91,9 +91,9 @@ class Encoder {
     /// component builds.  Read only during Build, not retained.
     const ChaseResult* chase_seed = nullptr;
     /// Search-diversification knobs for the underlying CDCL solver.  The
-    /// defaults reproduce the undiversified search bit-for-bit; the
-    /// portfolio layer (src/sat/portfolio.h) builds rival encoders over
-    /// the same component with different knobs.
+    /// defaults reproduce the undiversified search bit-for-bit; a caller
+    /// racing a sat::Portfolio (src/sat/portfolio.h) builds rival
+    /// encoders over the same component with different knobs.
     sat::Solver::Options solver;
   };
 

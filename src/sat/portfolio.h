@@ -5,38 +5,41 @@
 // SAT/UNSAT is a property of the FORMULA, not of the search path, so
 // every sound solver returns the same verdict no matter which one
 // finishes first — the race is nondeterministic in *time* but
-// deterministic in *answer*.  That is exactly the contract CPS base
-// solves and COP/DCIP refutation probes need.  What a race does NOT
-// preserve is the model: the winning solver's model depends on who won,
-// so anything that reads a witness (CPS want_witness completions, CCQA
-// model enumeration, DCIP's phase-1 baseline snapshot) must stay on the
-// deterministic single-solver path.  Callers re-establish a model with a
-// plain Solve() on the primary when they need one after a race.
+// deterministic in *answer*.  What a race does NOT preserve is the model:
+// the winning solver's model depends on who won, so anything that reads a
+// witness must stay on the deterministic single-solver path.  Callers
+// re-establish a model with a plain Solve() on the primary when they need
+// one after a race.
+//
+// Status: a standalone sat utility.  No decision procedure or serving
+// path races solvers: on the end-to-end benchmark's 63-group chained
+// component at nproc = 4, a width-4 race (rival encoder builds included)
+// took about 4x as long as one Solve (perfbench's sat.portfolio_ratio),
+// so nothing in core or serve calls it.  The benchmark's attribution
+// probe, bench_sat_core's pass-through gate and tests/portfolio_test.cc
+// drive it directly.
 //
 // Topology: one Portfolio fronts one PRIMARY solver (the caller's
-// long-lived, stats-bearing encoder solver) plus rival solvers spawned
-// lazily over the same CNF with diversified Solver::Options (seed, phase
-// init, restart profile).  Races run as a ParallelFor region on the
-// caller's shared exec::ThreadPool; the first task to finish sets a stop
-// flag (polled by Solver::SolveLimited) and cancels the region's
-// unclaimed tasks.  Race accounting lands in the primary's SolverStats
-// (portfolio_races / portfolio_cancelled), so the serving layer's
-// solve-boundary delta sampling exports it for free.
+// long-lived, stats-bearing solver) plus rival solvers spawned lazily
+// over the same CNF with diversified Solver::Options (seed, phase init,
+// restart profile) — for an encoder-backed CNF, rivals come from
+// DecomposedEncoder::BuildComponentEncoder(c, options).  Races run as a
+// ParallelFor region on the caller's exec::ThreadPool; the first task to
+// finish sets a stop flag (polled by Solver::SolveLimited) and cancels
+// the region's unclaimed tasks.  Race accounting lands in the primary's
+// SolverStats (portfolio_races / portfolio_cancelled).
 //
 // Single-thread pass-through: when the pool cannot actually run rivals
 // concurrently (num_threads() <= 1, or the portfolio is sized to one
 // solver), Solve() calls the primary directly — no rivals are ever
 // spawned, no stop flag is polled, no region is opened.  Portfolio-on at
 // one thread is therefore byte-identical (answers, stats, overhead) to
-// portfolio-off, which is what makes it safe to leave enabled on 1-CPU
-// hosts.
+// portfolio-off.
 //
 // Nesting: Portfolio::Solve opens a ParallelFor region, so per the exec
 // contract it must NOT be called from inside another region on the same
-// pool.  Callers (DecomposedEncoder::SolveAll, the COP/DCIP probe loops,
-// serve's epoch base solves) therefore race dominant components
-// sequentially from the region-owning thread, outside their per-component
-// fan-out.
+// pool; a caller with its own per-item fan-out races from the
+// region-owning thread, outside that fan-out.
 
 #ifndef CURRENCY_SRC_SAT_PORTFOLIO_H_
 #define CURRENCY_SRC_SAT_PORTFOLIO_H_
@@ -50,8 +53,7 @@
 
 namespace currency::sat {
 
-/// Caller-facing knobs.  Carried by CpsOptions/CopOptions/DcipOptions and
-/// serve::SessionOptions; disabled by default everywhere.
+/// Caller-facing knobs; disabled by default.
 struct PortfolioOptions {
   /// Master switch.  Off keeps every solve on the single-solver path.
   bool enabled = false;
@@ -59,9 +61,8 @@ struct PortfolioOptions {
   /// pool's thread count — a rival that could never run concurrently is
   /// never built.
   int num_solvers = 4;
-  /// Only components with at least this many entity groups are routed
-  /// through the portfolio; smaller ones stay on the (cheaper, already
-  /// parallel-across-components) single-solver path.
+  /// A size gate for callers that race only large components (counted in
+  /// entity groups); Portfolio itself does not read it.
   int min_component_size = 8;
 };
 

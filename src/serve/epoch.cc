@@ -37,10 +37,6 @@ void SessionCounters::Bind(obs::Registry* registry,
   sat_minimized_literals =
       registry->GetCounter("currency_sat_minimized_literals_total", t);
   sat_demotions = registry->GetCounter("currency_sat_demotions_total", t);
-  sat_portfolio_races =
-      registry->GetCounter("currency_sat_portfolio_races_total", t);
-  sat_portfolio_cancelled =
-      registry->GetCounter("currency_sat_portfolio_cancelled_total", t);
   sat_arena_bytes = registry->GetGauge("currency_sat_arena_bytes", t);
   sat_tier_core =
       registry->GetGauge("currency_sat_tier_clauses", with("tier", "core"));
@@ -107,10 +103,6 @@ void SampleSolverDelta(const SessionCounters* counters,
   bump(counters->sat_minimized_literals,
        after.minimized_literals - before.minimized_literals);
   bump(counters->sat_demotions, after.demotions - before.demotions);
-  bump(counters->sat_portfolio_races,
-       after.portfolio_races - before.portfolio_races);
-  bump(counters->sat_portfolio_cancelled,
-       after.portfolio_cancelled - before.portfolio_cancelled);
   shift(counters->sat_arena_bytes, after.arena_bytes - before.arena_bytes);
   shift(counters->sat_tier_core, after.tier_core - before.tier_core);
   shift(counters->sat_tier_mid, after.tier_tier2 - before.tier_tier2);
@@ -180,30 +172,20 @@ Status Epoch::WithComponentEncoder(
   return status;
 }
 
-Result<bool> Epoch::EnsureAllSolved(exec::ThreadPool* pool,
-                                    const sat::PortfolioOptions* portfolio) {
+Result<bool> Epoch::EnsureAllSolved(exec::ThreadPool* pool) {
   int n = num_components();
   std::vector<int> todo;
-  std::vector<int> dominant;
   for (int c = 0; c < n; ++c) {
     int s = slots_[c].sat.load(std::memory_order_acquire);
     if (s < 0) {
-      // Dominant components leave the parallel sweep: their base solves
-      // race diversified solvers through a portfolio that owns the pool,
-      // so they run sequentially after it (ParallelFor must not nest).
-      if (decomposed_->PortfolioEligible(c, portfolio, pool)) {
-        dominant.push_back(c);
-      } else {
-        todo.push_back(c);
-      }
+      todo.push_back(c);
     } else if (s == 0) {
       counters_->cache_hits->Increment();
       return false;  // a cached UNSAT answers without touching the pool
     }
   }
-  counters_->cache_hits->Increment(n - static_cast<int64_t>(todo.size()) -
-                                   static_cast<int64_t>(dominant.size()));
-  if (todo.empty() && dominant.empty()) return true;
+  counters_->cache_hits->Increment(n - static_cast<int64_t>(todo.size()));
+  if (todo.empty()) return true;
   // Solve the unknown components on the shared pool.  Per-task results
   // land in their own slots; the first UNSAT cancels the unclaimed rest,
   // whose slots stay unknown — sound, since the answer is already false
@@ -241,53 +223,7 @@ Result<bool> Epoch::EnsureAllSolved(exec::ThreadPool* pool,
       consistent = false;  // skipped by cancellation ⇒ some task was UNSAT
     }
   }
-  if (!consistent) return false;  // dominant slots stay unknown — sound
-  for (int c : dominant) {
-    ASSIGN_OR_RETURN(bool sat,
-                     SolveComponentBasePortfolio(c, *portfolio, pool));
-    if (!sat) return false;  // later components stay unknown — sound
-  }
-  return true;
-}
-
-Result<bool> Epoch::SolveComponentBasePortfolio(
-    int c, const sat::PortfolioOptions& portfolio, exec::ThreadPool* pool) {
-  Slot& slot = slots_[c];
-  std::lock_guard<std::mutex> lock(slot.mu);
-  int cached = slot.sat.load(std::memory_order_acquire);
-  if (cached >= 0) {
-    counters_->cache_hits->Increment();
-    return cached == 1;
-  }
-  if (slot.encoder == nullptr) {
-    ASSIGN_OR_RETURN(slot.encoder, decomposed_->BuildComponentEncoder(c));
-  }
-  const sat::SolverStats before = slot.encoder->solver().stats();
-  // Transient race: the rival encoders die with this call, while the
-  // cached primary keeps its learnt clauses (and the race counters in its
-  // stats) for later probes on this slot.
-  std::vector<std::unique_ptr<Encoder>> rivals;
-  sat::Portfolio race(
-      &slot.encoder->solver(),
-      [&](int /*config*/,
-          const sat::Solver::Options& options) -> Result<sat::Solver*> {
-        ASSIGN_OR_RETURN(std::unique_ptr<Encoder> rival,
-                         decomposed_->BuildComponentEncoder(c, options));
-        rivals.push_back(std::move(rival));
-        return &rivals.back()->solver();
-      },
-      portfolio, pool);
-  ASSIGN_OR_RETURN(sat::SolveResult verdict, race.Solve());
-  const bool sat = verdict == sat::SolveResult::kSat;
-  SampleSolverDelta(counters_, before, slot.encoder->solver().stats());
-  counters_->base_solves->Increment();
-  if (decomposed_->chase_routing()) {
-    // PortfolioEligible filters chase-routed components, so reaching the
-    // SAT race means the polynomial route was unavailable here too.
-    counters_->chase_sat_fallbacks->Increment();
-  }
-  slot.sat.store(sat ? 1 : 0, std::memory_order_release);
-  return sat;
+  return consistent;
 }
 
 std::map<uint64_t, Epoch::Harvested> Epoch::Harvest() {

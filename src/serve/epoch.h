@@ -61,7 +61,6 @@
 #include "src/core/specification.h"
 #include "src/exec/thread_pool.h"
 #include "src/obs/metrics.h"
-#include "src/sat/portfolio.h"
 
 namespace currency::serve {
 
@@ -102,10 +101,6 @@ struct SessionCounters {
   /// TIER2 → LOCAL demotions of learnt clauses untouched across a
   /// ReduceDB cycle.
   obs::Counter* sat_demotions = nullptr;
-  /// Portfolio races completed / rival solvers cancelled mid-search by a
-  /// rival's (or the primary's) earlier verdict.
-  obs::Counter* sat_portfolio_races = nullptr;
-  obs::Counter* sat_portfolio_cancelled = nullptr;
   /// Aggregate clause-arena bytes across the session's cached solvers
   /// (signed deltas: GC shrinks it).
   obs::Gauge* sat_arena_bytes = nullptr;
@@ -167,14 +162,8 @@ class Epoch {
   /// answer is already false).  Returns the CPS answer.  Concurrent calls
   /// are safe: the per-component encoder mutex makes racing solves of one
   /// component serialize, and the second solver re-checks the cached bit
-  /// before doing any work.  A non-null `portfolio` (with racing enabled
-  /// and a multi-threaded pool) routes dominant components — at least
-  /// `portfolio->min_component_size` entity groups, not chase-routed —
-  /// through a verdict-deterministic solver race AFTER the regular
-  /// components' parallel sweep (the race owns the pool, so the two never
-  /// nest); the cached verdicts and the CPS answer are identical.
-  Result<bool> EnsureAllSolved(exec::ThreadPool* pool,
-                               const sat::PortfolioOptions* portfolio = nullptr);
+  /// before doing any work.
+  Result<bool> EnsureAllSolved(exec::ThreadPool* pool);
 
   /// The component's chase fixpoint (chase-eligible components only),
   /// computed on first use and published write-once; lock-free reads
@@ -239,15 +228,6 @@ class Epoch {
   /// the bit; returns the cached bit without solving when another batch
   /// got there first.
   Result<bool> SolveComponentBase(int c);
-
-  /// Portfolio variant of SolveComponentBase: races the slot's cached
-  /// primary solver against transient diversified rivals on `pool` (the
-  /// rival encoders die with the call; the primary keeps its learnt
-  /// clauses and verdict).  Verdict-only — the primary may hold no model
-  /// afterwards even on SAT.
-  Result<bool> SolveComponentBasePortfolio(int c,
-                                           const sat::PortfolioOptions& portfolio,
-                                           exec::ThreadPool* pool);
 
   const core::Specification spec_;
   const int64_t version_;

@@ -147,7 +147,7 @@ Result<bool> CurrencySession::CpsCheck() {
     epoch = Pin();
   }
   obs::TraceSpan::Stage stage("solve", stage_counters_);
-  return epoch->EnsureAllSolved(pool_, &options_.portfolio);
+  return epoch->EnsureAllSolved(pool_);
 }
 
 Result<std::vector<bool>> CurrencySession::CopBatch(
@@ -183,8 +183,7 @@ Result<std::vector<bool>> CurrencySession::CopBatch(
   bool consistent = false;
   {
     obs::TraceSpan::Stage stage("base_solve", stage_counters_);
-    ASSIGN_OR_RETURN(consistent,
-                     epoch->EnsureAllSolved(pool_, &options_.portfolio));
+    ASSIGN_OR_RETURN(consistent, epoch->EnsureAllSolved(pool_));
   }
   std::vector<bool> out(queries.size(), true);
   if (!consistent) return out;  // Mod(S) = ∅: every order vacuously certain
@@ -292,8 +291,7 @@ Result<std::vector<bool>> CurrencySession::DcipBatch(
   bool consistent = false;
   {
     obs::TraceSpan::Stage stage("base_solve", stage_counters_);
-    ASSIGN_OR_RETURN(consistent,
-                     epoch->EnsureAllSolved(pool_, &options_.portfolio));
+    ASSIGN_OR_RETURN(consistent, epoch->EnsureAllSolved(pool_));
   }
   std::vector<bool> out(relations.size(), true);
   if (!consistent) return out;  // vacuous
@@ -377,8 +375,7 @@ Result<std::vector<CcqaResponse>> CurrencySession::CcqaBatch(
   bool consistent = false;
   {
     obs::TraceSpan::Stage stage("base_solve", stage_counters_);
-    ASSIGN_OR_RETURN(consistent,
-                     epoch->EnsureAllSolved(pool_, &options_.portfolio));
+    ASSIGN_OR_RETURN(consistent, epoch->EnsureAllSolved(pool_));
   }
   std::vector<CcqaResponse> out(requests.size());
   if (!consistent) {

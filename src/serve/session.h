@@ -98,15 +98,6 @@ struct SessionOptions {
   /// fingerprint keying).  SAT remains the fallback for constrained
   /// components; answers are identical either way.
   bool use_chase_routing = true;
-  /// Verdict-deterministic portfolio racing for dominant components (off
-  /// by default): base solves of components with at least
-  /// `portfolio.min_component_size` entity groups race diversified rival
-  /// solvers on the session pool, first verdict wins.  Verdict-only — the
-  /// cached primary solver may hold no model after a raced solve, which
-  /// is fine because every serve probe either needs no model (COP) or
-  /// re-Solves first (DCIP).  Answers are bit-identical with the racing
-  /// off; pass-through (zero overhead) when the pool has one thread.
-  sat::PortfolioOptions portfolio;
   /// Base encoder options.  define_is_last is forced on (one cached
   /// encoding serves CPS, COP, DCIP and CCQA); restrict_to / copy_index /
   /// chase_seed are session-managed and ignored.

@@ -9,6 +9,10 @@
 // brute-force oracle, across thread counts, mixed
 // constrained/constraint-free specifications, and session Mutate rounds.
 //
+// On specifications no denial constraint grounds in, the routed one-shots
+// must also equal the whole-specification PTIME procedures of Theorem 6.1
+// and Proposition 6.3 (WholeSpecSubsumption below).
+//
 // Also covered here: the metamorphic classification properties (inert
 // additions — a zero-grounding constraint, a single-source copy bucket —
 // must not flip eligibility or fingerprints; a real grounding must flip
@@ -31,6 +35,8 @@
 #include "src/core/consistency.h"
 #include "src/core/decompose.h"
 #include "src/core/deterministic.h"
+#include "src/core/sp_ccqa.h"
+#include "src/query/classify.h"
 #include "src/query/parser.h"
 #include "src/serve/session.h"
 #include "tests/fixtures.h"
@@ -101,7 +107,6 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
     SCOPED_TRACE("cps threads=" + std::to_string(threads));
     for (bool routed : {true, false}) {
       CpsOptions cps;
-      cps.use_ptime_path_without_constraints = false;
       cps.use_chase_routing = routed;
       cps.num_threads = threads;
       auto outcome = DecideConsistency(spec, cps);
@@ -137,7 +142,6 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
         SCOPED_TRACE("cop threads=" + std::to_string(threads) +
                      " routed=" + std::to_string(routed));
         CopOptions cop;
-        cop.use_ptime_path_without_constraints = false;
         cop.use_chase_routing = routed;
         cop.num_threads = threads;
         EXPECT_EQ(IsCertainOrder(spec, q, cop).value(), oracle);
@@ -154,7 +158,6 @@ void CheckRoutedEqualsForcedAndOracle(const Specification& spec) {
         SCOPED_TRACE("dcip " + rel + " threads=" + std::to_string(threads) +
                      " routed=" + std::to_string(routed));
         DcipOptions dcip;
-        dcip.use_ptime_path_without_constraints = false;
         dcip.use_chase_routing = routed;
         dcip.num_threads = threads;
         EXPECT_EQ(IsDeterministicForRelation(spec, rel, dcip).value(),
@@ -254,6 +257,195 @@ TEST_P(ChaseRoutingEquivalence, RoutedEqualsForcedSatAndOracle) {
 
 INSTANTIATE_TEST_SUITE_P(Random, ChaseRoutingEquivalence,
                          ::testing::Range(0, 6));
+
+// ---------------------------------------------------------------------------
+// Subsumption of the whole-specification PTIME procedures: when no denial
+// constraint grounds anywhere, every coupling component is chase-routed,
+// and the per-component chase is Theorem 6.1 / Proposition 6.3 applied to
+// each S|_c.  Because Mod(S) factors over components, the routed one-shot
+// answers must equal those procedures run over the WHOLE specification —
+// PO∞ membership (COP) and sink agreement (DCIP) on ChaseCopyOrders, and
+// SpCertainCurrentAnswers / the poss(S) pipeline on the whole-spec PO∞
+// (SP CCQA) — and the brute-force oracle.  This is why the decision
+// procedures need no separate whole-specification route.
+
+/// Theorem 6.1(2) on the whole-spec PO∞: every pair of `q` is certain iff
+/// it is in PO∞ (vacuously certain when the chase derives a cycle).
+bool WholeSpecCertainOrder(const ChaseResult& chase, int inst,
+                           const CurrencyOrderQuery& q) {
+  if (!chase.consistent) return true;
+  for (const RequiredPair& p : q.pairs) {
+    if (!chase.certain_orders[inst][p.attr].Less(p.before, p.after)) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// Theorem 6.1(3) on the whole-spec PO∞: deterministic iff, per entity
+/// and attribute, all sinks of PO∞ agree on the value.
+bool WholeSpecDeterministic(const Specification& spec,
+                            const ChaseResult& chase, int inst) {
+  if (!chase.consistent) return true;
+  const TemporalInstance& instance = spec.instance(inst);
+  const Relation& rel = instance.relation();
+  for (AttrIndex a = 1; a < instance.schema().arity(); ++a) {
+    for (const auto& [eid, members] : rel.EntityGroups()) {
+      (void)eid;
+      std::vector<int> sinks =
+          chase.certain_orders[inst][a].SinksWithin(members);
+      for (size_t k = 1; k < sinks.size(); ++k) {
+        if (!(rel.tuple(sinks[k]).at(a) == rel.tuple(sinks[0]).at(a))) {
+          return false;
+        }
+      }
+    }
+  }
+  return true;
+}
+
+/// Proposition 6.3 on the whole-spec PO∞ (Inconsistent when Mod(S) = ∅).
+Result<std::set<Tuple>> WholeSpecSpAnswers(const Specification& spec,
+                                           const ChaseResult& chase,
+                                           const query::Query& q) {
+  if (!chase.consistent) return Status::Inconsistent("Mod(S) is empty");
+  return SpAnswersFromCertainOrders(spec, chase.certain_orders, q);
+}
+
+void CheckRoutedEqualsWholeSpec(const Specification& spec) {
+  ChaseResult whole = ChaseCopyOrders(spec).value();
+  ASSERT_EQ(whole.consistent, BruteForceConsistent(spec).value());
+
+  // The SP queries: a selection on the entity, a full projection, and
+  // (when the replica exists) one over R2.
+  std::vector<std::string> sp_texts = {
+      "Q(x) := EXISTS e, y: R(e, x, y) AND e = 'e0'",
+      "Q(x, y) := EXISTS e: R(e, x, y)",
+  };
+  if (spec.InstanceIndex("R2").ok()) {
+    sp_texts.push_back("Q(c) := EXISTS f: R2(f, c)");
+  }
+  std::vector<query::Query> sp_queries;
+  for (const std::string& text : sp_texts) {
+    sp_queries.push_back(query::ParseQuery(text).value());
+    ASSERT_TRUE(query::IsSpQuery(sp_queries.back())) << text;
+  }
+
+  // References first: the whole-spec procedures against the oracle.
+  const std::vector<CurrencyOrderQuery> cop_queries =
+      MakeCopQueries(spec.instance(0).relation());
+  std::vector<bool> cop_ref;
+  for (const CurrencyOrderQuery& q : cop_queries) {
+    cop_ref.push_back(WholeSpecCertainOrder(whole, 0, q));
+    EXPECT_EQ(cop_ref.back(), BruteForceCertainOrder(spec, q).value());
+  }
+  std::vector<bool> dcip_ref;
+  for (int i = 0; i < spec.num_instances(); ++i) {
+    dcip_ref.push_back(WholeSpecDeterministic(spec, whole, i));
+    EXPECT_EQ(dcip_ref.back(),
+              BruteForceDeterministic(spec, spec.instance(i).name()).value());
+  }
+  std::vector<Result<std::set<Tuple>>> sp_ref;
+  for (const query::Query& q : sp_queries) {
+    sp_ref.push_back(WholeSpecSpAnswers(spec, whole, q));
+    auto oracle = BruteForceCertainAnswers(spec, q);
+    ASSERT_EQ(sp_ref.back().ok(), oracle.ok()) << oracle.status();
+    if (oracle.ok()) {
+      EXPECT_EQ(*sp_ref.back(), *oracle);
+    } else {
+      EXPECT_EQ(sp_ref.back().status().code(), oracle.status().code());
+    }
+    if (!spec.HasDenialConstraints()) {
+      // The whole-spec entry point proper agrees with its own pipeline.
+      auto direct = SpCertainCurrentAnswers(spec, q);
+      ASSERT_EQ(direct.ok(), sp_ref.back().ok()) << direct.status();
+      if (direct.ok()) {
+        EXPECT_EQ(*direct, *sp_ref.back());
+      }
+    }
+  }
+
+  // The routed one-shots, at every thread count.
+  for (int threads : kThreadCounts) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    CpsOptions cps;
+    cps.num_threads = threads;
+    auto outcome = DecideConsistency(spec, cps);
+    ASSERT_TRUE(outcome.ok()) << outcome.status();
+    EXPECT_EQ(outcome->consistent, whole.consistent);
+    EXPECT_TRUE(outcome->used_ptime_path)
+        << "a component without denial groundings reached SAT";
+
+    for (size_t k = 0; k < cop_queries.size(); ++k) {
+      CopOptions cop;
+      cop.num_threads = threads;
+      EXPECT_EQ(IsCertainOrder(spec, cop_queries[k], cop).value(),
+                cop_ref[k])
+          << "cop query " << k;
+    }
+
+    for (int i = 0; i < spec.num_instances(); ++i) {
+      DcipOptions dcip;
+      dcip.num_threads = threads;
+      EXPECT_EQ(
+          IsDeterministicForRelation(spec, spec.instance(i).name(), dcip)
+              .value(),
+          dcip_ref[i])
+          << spec.instance(i).name();
+    }
+
+    for (size_t k = 0; k < sp_queries.size(); ++k) {
+      SCOPED_TRACE(sp_texts[k]);
+      CcqaOptions ccqa;
+      ccqa.num_threads = threads;
+      auto answers = CertainCurrentAnswers(spec, sp_queries[k], ccqa);
+      if (sp_ref[k].ok()) {
+        ASSERT_TRUE(answers.ok()) << answers.status();
+        EXPECT_EQ(*answers, *sp_ref[k]);
+      } else {
+        EXPECT_EQ(answers.status().code(), sp_ref[k].status().code());
+      }
+      // Membership over every value the fixtures draw (0..3), so both
+      // certain and non-certain candidates are asked.
+      const size_t arity = sp_queries[k].head.size();
+      for (int code = 0; code < (arity == 1 ? 4 : 16); ++code) {
+        std::vector<Value> values = {Value(code % 4)};
+        if (arity == 2) values.push_back(Value(code / 4));
+        Tuple t(std::move(values));
+        auto member = IsCertainCurrentAnswer(spec, sp_queries[k], t, ccqa);
+        ASSERT_TRUE(member.ok()) << member.status();
+        EXPECT_EQ(*member, !sp_ref[k].ok() || sp_ref[k]->count(t) > 0)
+            << t.ToString();
+      }
+    }
+  }
+}
+
+class WholeSpecSubsumption : public ::testing::TestWithParam<int> {};
+
+TEST_P(WholeSpecSubsumption, RoutedEqualsTheorem61AndOracle) {
+  // Literally constraint-free draws, and draws whose (entity-gated)
+  // constraints ground nowhere (constraint_free_fraction = 1), with and
+  // without the coupling replica.
+  struct Variant {
+    bool with_copy;
+    bool with_constraints;
+  };
+  const Variant variants[] = {
+      {false, false}, {true, false}, {false, true}, {true, true}};
+  for (size_t v = 0; v < sizeof(variants) / sizeof(variants[0]); ++v) {
+    Specification spec = MakeRandomSpec(
+        GetParam() * 2741 + static_cast<unsigned>(v), variants[v].with_copy,
+        variants[v].with_constraints, /*constraint_free_fraction=*/1.0);
+    SCOPED_TRACE("seed=" + std::to_string(GetParam()) +
+                 " variant=" + std::to_string(v));
+    CheckRoutedEqualsWholeSpec(spec);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Random, WholeSpecSubsumption,
+                         ::testing::Range(0, 10));
 
 // ---------------------------------------------------------------------------
 // Sessions: routed and forced sessions over the same specification must

@@ -6,7 +6,7 @@
 //
 // The linearizability fuzz is the heart: N reader threads fire query
 // batches while one mutator streams edit batches.  Every batch pins one
-// epoch, so its answers must equal a fresh monolithic solve of SOME
+// epoch, so its answers must equal a fresh forced-SAT solve of SOME
 // specification version the batch overlapped — the version window is
 // bounded by epoch_version() reads bracketing the batch, and the mutator
 // keeps a shadow copy of every published version.
@@ -26,6 +26,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/brute_force.h"
 #include "src/core/ccqa.h"
 #include "src/core/certain_order.h"
 #include "src/core/consistency.h"
@@ -200,8 +201,9 @@ TEST(SessionValidationTest, RejectsNonPositiveInstanceBudget) {
 // Linearizability fuzz: N readers × 1 mutator
 // ---------------------------------------------------------------------------
 
-/// Fresh monolithic answers for one specification version (decomposition
-/// and fast paths off — a maximally independent comparator).
+/// Fresh answers for one specification version: one-shot solves with
+/// chase routing and the SP fast path off (pure SAT), each cross-checked
+/// against the brute-force oracle before it is used as the comparator.
 struct FreshAnswers {
   bool cps = false;
   std::vector<bool> cop;
@@ -248,38 +250,50 @@ Result<FreshAnswers> SolveFresh(const core::Specification& spec,
                                 const std::vector<core::CurrencyOrderQuery>&
                                     cop_queries,
                                 const std::vector<std::string>& relations) {
+  auto disagree = [](const char* what) {
+    return Status::Internal(std::string("forced-SAT ") + what +
+                            " disagrees with the brute-force oracle");
+  };
   FreshAnswers fresh;
   core::CpsOptions cps;
-  cps.use_ptime_path_without_constraints = false;
-  cps.use_decomposition = false;
+  cps.use_chase_routing = false;
   ASSIGN_OR_RETURN(core::CpsOutcome consistency,
                    core::DecideConsistency(spec, cps));
   fresh.cps = consistency.consistent;
+  ASSIGN_OR_RETURN(bool oracle_cps, core::BruteForceConsistent(spec));
+  if (fresh.cps != oracle_cps) return disagree("CPS");
   for (const core::CurrencyOrderQuery& q : cop_queries) {
     core::CopOptions cop;
-    cop.use_ptime_path_without_constraints = false;
-    cop.use_decomposition = false;
+    cop.use_chase_routing = false;
     ASSIGN_OR_RETURN(bool certain, core::IsCertainOrder(spec, q, cop));
+    ASSIGN_OR_RETURN(bool oracle, core::BruteForceCertainOrder(spec, q));
+    if (certain != oracle) return disagree("COP");
     fresh.cop.push_back(certain);
   }
   for (const std::string& rel : relations) {
     core::DcipOptions dcip;
-    dcip.use_ptime_path_without_constraints = false;
-    dcip.use_decomposition = false;
+    dcip.use_chase_routing = false;
     ASSIGN_OR_RETURN(bool deterministic,
                      core::IsDeterministicForRelation(spec, rel, dcip));
+    ASSIGN_OR_RETURN(bool oracle, core::BruteForceDeterministic(spec, rel));
+    if (deterministic != oracle) return disagree("DCIP");
     fresh.dcip.push_back(deterministic);
   }
   core::CcqaOptions ccqa;
   ccqa.use_sp_fast_path = false;
-  ccqa.use_decomposition = false;
+  ccqa.use_chase_routing = false;
   auto answers = core::CertainCurrentAnswers(spec, MakeFuzzQuery(), ccqa);
+  auto oracle = core::BruteForceCertainAnswers(spec, MakeFuzzQuery());
   if (!answers.ok()) {
     if (answers.status().code() != StatusCode::kInconsistent) {
       return answers.status();
     }
+    if (oracle.status().code() != StatusCode::kInconsistent) {
+      return disagree("CCQA vacuity");
+    }
     fresh.ccqa_vacuous = true;
   } else {
+    if (!oracle.ok() || *oracle != *answers) return disagree("CCQA");
     fresh.ccqa_answers = *answers;
   }
   return fresh;
@@ -432,7 +446,7 @@ TEST_P(ConcurrentLinearizability, BatchAnswersMatchSomeOverlappedEpoch) {
     mutator.join();
     if (failed.load()) return;
 
-    // Verify: every batch's answers equal a fresh monolithic solve of
+    // Verify: every batch's answers equal a fresh forced-SAT solve of
     // some version inside its window.
     std::map<int64_t, FreshAnswers> memo;
     for (size_t r = 0; r < records.size(); ++r) {
@@ -655,16 +669,18 @@ TEST(SessionManagerTest, TwoTenantsServeConcurrently) {
   ASSERT_TRUE((*manager)->Register("a", spec_a).ok());
   ASSERT_TRUE((*manager)->Register("b", spec_b).ok());
 
-  // Expected answers from a fresh monolithic solve per tenant.
+  // Expected answers from a fresh forced-SAT solve per tenant, checked
+  // against the brute-force oracle.
   core::CpsOptions cps;
-  cps.use_ptime_path_without_constraints = false;
-  cps.use_decomposition = false;
+  cps.use_chase_routing = false;
   auto outcome_a = core::DecideConsistency(spec_a, cps);
   auto outcome_b = core::DecideConsistency(spec_b, cps);
   ASSERT_TRUE(outcome_a.ok()) << outcome_a.status();
   ASSERT_TRUE(outcome_b.ok()) << outcome_b.status();
   const bool expect_a = outcome_a->consistent;
   const bool expect_b = outcome_b->consistent;
+  EXPECT_EQ(expect_a, core::BruteForceConsistent(spec_a).value());
+  EXPECT_EQ(expect_b, core::BruteForceConsistent(spec_b).value());
 
   std::atomic<bool> failed{false};
   std::vector<std::thread> clients;

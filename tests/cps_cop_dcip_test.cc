@@ -10,6 +10,7 @@
 #include "src/core/chase.h"
 #include "src/core/consistency.h"
 #include "src/core/deterministic.h"
+#include "src/core/encoder.h"
 #include "tests/fixtures.h"
 
 namespace currency::core {
@@ -93,14 +94,28 @@ TEST(CpsTest, ContradictoryConstraintsAreInconsistent) {
 }
 
 TEST(CpsTest, PtimePathOnCopyChains) {
-  // Chain R2 ⇐ R with an initial source order and no constraints: the
-  // chase decides consistency in PTIME (Theorem 6.1).
+  // Chain R2 ⇐ R with an initial source order and no constraints: every
+  // coupling component is chase-routed, so the chase decides consistency
+  // in PTIME (Theorem 6.1) and no SAT encoder is built.
   Specification spec = MakeRandomSpec(7, /*with_copy=*/true,
                                       /*with_constraints=*/false);
   auto outcome = DecideConsistency(spec);
   ASSERT_TRUE(outcome.ok());
   EXPECT_TRUE(outcome->used_ptime_path);
+  EXPECT_GT(outcome->components, 0);
   EXPECT_EQ(outcome->consistent, BruteForceConsistent(spec).value());
+  // Forced SAT and witness requests build encoders, so they do not count
+  // as the PTIME path; the component count is reported either way.
+  for (bool witness : {false, true}) {
+    CpsOptions options;
+    options.use_chase_routing = witness;
+    options.want_witness = witness;
+    auto sat = DecideConsistency(spec, options);
+    ASSERT_TRUE(sat.ok());
+    EXPECT_FALSE(sat->used_ptime_path) << "witness=" << witness;
+    EXPECT_EQ(sat->components, outcome->components);
+    EXPECT_EQ(sat->consistent, outcome->consistent);
+  }
 }
 
 TEST(ChaseTest, PropagatesBothDirections) {
@@ -281,14 +296,15 @@ TEST(DcipTest, EqualValuesKeepDeterminism) {
 }
 
 TEST(DcipTest, BaselinesSnapshottedBeforeAssumptionSolves) {
-  // Regression guard for the baseline-read protocol of DeterministicViaSat:
+  // Regression guard for the baseline-read protocol of DeterministicProbe:
   // group e1 is deterministic (its alternative probes come back UNSAT),
   // group e2 is not.  The e2 baseline used to be read from the solver's
   // model AFTER e1's failed assumption solves, silently relying on UNSAT
   // calls preserving the model; baselines are now snapshotted before any
   // probe, so this answers correctly even with a solver that clears its
-  // model on UNSAT.  Monolithic mode keeps both groups in one encoder,
-  // which is the arrangement that exercised the stale-model read.
+  // model on UNSAT.  The stale-model read needs both groups in ONE
+  // encoder, so the probe runs here on a whole-specification encoder
+  // (the decision procedures give each group its own component encoder).
   Specification spec;
   Schema rs = Schema::Make("R", {"A"}).value();
   Relation r(rs);
@@ -299,16 +315,24 @@ TEST(DcipTest, BaselinesSnapshottedBeforeAssumptionSolves) {
   TemporalInstance inst(std::move(r));
   ASSERT_TRUE(inst.AddOrder(1, 0, 1).ok());  // e1 pinned: 1 ≺ 2
   ASSERT_TRUE(spec.AddInstance(std::move(inst)).ok());
+  EXPECT_FALSE(BruteForceDeterministic(spec, "R").value());
 
-  for (bool decomposed : {false, true}) {
+  Encoder::Options enc;
+  enc.define_is_last = true;
+  auto encoder = Encoder::Build(spec, enc);
+  ASSERT_TRUE(encoder.ok()) << encoder.status();
+  ASSERT_EQ((*encoder)->solver().Solve(), sat::SolveResult::kSat);
+  auto probed = internal::DeterministicProbe(spec, encoder->get(), 0);
+  ASSERT_TRUE(probed.ok()) << probed.status();
+  EXPECT_FALSE(*probed);  // e2 is free in both directions
+
+  for (bool routed : {true, false}) {
     DcipOptions options;
-    options.use_ptime_path_without_constraints = false;  // force SAT path
-    options.use_decomposition = decomposed;
-    SCOPED_TRACE(decomposed ? "decomposed" : "monolithic");
+    options.use_chase_routing = routed;
+    SCOPED_TRACE(routed ? "routed" : "forced SAT");
     auto det = IsDeterministicForRelation(spec, "R", options);
     ASSERT_TRUE(det.ok()) << det.status();
-    EXPECT_FALSE(*det);  // e2 is free in both directions
-    EXPECT_FALSE(BruteForceDeterministic(spec, "R").value());
+    EXPECT_FALSE(*det);
   }
 }
 

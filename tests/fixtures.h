@@ -368,8 +368,8 @@ inline core::Specification MakeRandomSpec(
         // Gate the constraint on each constrained group's entity so it
         // cannot ground inside the constraint-free groups.  When every
         // group is free, gate on a nonexistent entity instead: the spec
-        // still carries a denial constraint (the whole-spec PTIME paths
-        // stay off) but it grounds nowhere, so every component remains
+        // still carries a denial constraint (HasDenialConstraints() is
+        // true) but it grounds nowhere, so every component remains
         // chase-eligible.
         std::string body(text);
         size_t colon = body.find(": ");

@@ -15,6 +15,7 @@
 #include "src/core/brute_force.h"
 #include "src/core/ccqa.h"
 #include "src/core/certain_order.h"
+#include "src/core/completion.h"
 #include "src/core/consistency.h"
 #include "src/core/decompose.h"
 #include "src/core/deterministic.h"
@@ -109,8 +110,8 @@ TEST_P(OracleCountInvariant, SeedingAndPruningLoseNothing) {
 INSTANTIATE_TEST_SUITE_P(Random, OracleCountInvariant, ::testing::Range(0, 25));
 
 /// Canonical serialization of a current-instance database: relation name
-/// plus value-sorted tuples (the two SAT paths materialize tuples in
-/// different orders).
+/// plus value-sorted tuples (the solvers and the oracle materialize tuples
+/// in different orders).
 std::string CanonicalDb(const query::Database& db) {
   std::string out;
   for (const auto& [name, rel] : db) {
@@ -125,10 +126,24 @@ std::string CanonicalDb(const query::Database& db) {
   return out;
 }
 
-// Property sweep: the decomposed SAT path (one encoder per coupling
-// component) agrees with the monolithic encoder on CPS, COP, DCIP, CCQA
-// and current-instance enumeration.  The PTIME chase path is disabled so
-// the SAT machinery is exercised even on constraint-free draws.
+/// The oracle's distinct current instances: the LST of every consistent
+/// completion, canonicalized and deduplicated.
+std::set<std::string> OracleCurrentInstances(const Specification& spec) {
+  std::set<std::string> out;
+  auto count = EnumerateConsistentCompletions(spec, [&](const Completion& c) {
+    std::vector<Relation> storage;
+    out.insert(CanonicalDb(CurrentDatabase(spec, c, &storage).value()));
+    return true;
+  });
+  EXPECT_TRUE(count.ok()) << count.status();
+  return out;
+}
+
+// Property sweep: the one decision route (decomposed, chase-routed
+// components next to SAT-routed ones) agrees with forced-SAT routing and
+// with the brute-force oracle on CPS, COP, DCIP, CCQA and current-instance
+// enumeration.  (The suite name is historical: the comparison it names no
+// longer exists, and its references are the two above.)
 class DecomposedVsMonolithic : public ::testing::TestWithParam<int> {};
 
 TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
@@ -137,87 +152,85 @@ TEST_P(DecomposedVsMonolithic, AllSolversAgree) {
         MakeRandomSpec(GetParam() * 733 + variant, variant & 1, variant & 2);
     SCOPED_TRACE("seed=" + std::to_string(GetParam()) +
                  " variant=" + std::to_string(variant));
+    for (bool routed : {true, false}) {
+      SCOPED_TRACE(routed ? "routed" : "forced SAT");
 
-    // CPS, including witness validity on the decomposed path.
-    CpsOptions cps_mono, cps_dec;
-    cps_mono.use_ptime_path_without_constraints = false;
-    cps_mono.use_decomposition = false;
-    cps_dec.use_ptime_path_without_constraints = false;
-    cps_dec.use_decomposition = true;
-    cps_dec.want_witness = true;
-    auto mono = DecideConsistency(spec, cps_mono);
-    auto dec = DecideConsistency(spec, cps_dec);
-    ASSERT_TRUE(mono.ok() && dec.ok());
-    EXPECT_EQ(mono->consistent, dec->consistent);
-    EXPECT_GT(dec->components, 0);
-    if (dec->consistent) {
-      ASSERT_TRUE(dec->witness.has_value());
-      EXPECT_TRUE(IsConsistentCompletion(spec, *dec->witness).value());
-    }
+      // CPS, including witness validity.
+      CpsOptions cps;
+      cps.use_chase_routing = routed;
+      auto outcome = DecideConsistency(spec, cps);
+      ASSERT_TRUE(outcome.ok()) << outcome.status();
+      EXPECT_EQ(outcome->consistent, BruteForceConsistent(spec).value());
+      EXPECT_GT(outcome->components, 0);
+      cps.want_witness = true;
+      auto with_witness = DecideConsistency(spec, cps);
+      ASSERT_TRUE(with_witness.ok()) << with_witness.status();
+      EXPECT_EQ(with_witness->consistent, outcome->consistent);
+      if (with_witness->consistent) {
+        ASSERT_TRUE(with_witness->witness.has_value());
+        EXPECT_TRUE(
+            IsConsistentCompletion(spec, *with_witness->witness).value());
+      }
 
-    // COP on a handful of pairs (including a cross-entity one: tuple 0
-    // is entity e0, tuple 2 is e1 on every draw).
-    for (const RequiredPair& pair :
-         {RequiredPair{1, 0, 1}, RequiredPair{2, 1, 0}, RequiredPair{1, 0, 2}}) {
-      CurrencyOrderQuery q;
-      q.relation = "R";
-      q.pairs = {pair};
-      CopOptions cop_mono, cop_dec;
-      cop_mono.use_ptime_path_without_constraints = false;
-      cop_mono.use_decomposition = false;
-      cop_dec.use_ptime_path_without_constraints = false;
-      cop_dec.use_decomposition = true;
-      EXPECT_EQ(IsCertainOrder(spec, q, cop_mono).value(),
-                IsCertainOrder(spec, q, cop_dec).value());
-    }
+      // COP on a handful of pairs (including a cross-entity one: tuple 0
+      // is entity e0, tuple 2 is e1 on every draw).
+      for (const RequiredPair& pair : {RequiredPair{1, 0, 1},
+                                       RequiredPair{2, 1, 0},
+                                       RequiredPair{1, 0, 2}}) {
+        CurrencyOrderQuery q;
+        q.relation = "R";
+        q.pairs = {pair};
+        CopOptions cop;
+        cop.use_chase_routing = routed;
+        EXPECT_EQ(IsCertainOrder(spec, q, cop).value(),
+                  BruteForceCertainOrder(spec, q).value());
+      }
 
-    // DCIP per relation.
-    DcipOptions dcip_mono, dcip_dec;
-    dcip_mono.use_ptime_path_without_constraints = false;
-    dcip_mono.use_decomposition = false;
-    dcip_dec.use_ptime_path_without_constraints = false;
-    dcip_dec.use_decomposition = true;
-    EXPECT_EQ(IsDeterministic(spec, dcip_mono).value(),
-              IsDeterministic(spec, dcip_dec).value());
+      // DCIP per relation.
+      DcipOptions dcip;
+      dcip.use_chase_routing = routed;
+      for (int i = 0; i < spec.num_instances(); ++i) {
+        const std::string& rel = spec.instance(i).name();
+        EXPECT_EQ(IsDeterministicForRelation(spec, rel, dcip).value(),
+                  BruteForceDeterministic(spec, rel).value())
+            << rel;
+      }
 
-    // Current-instance enumeration: same count, same set of databases.
-    CcqaOptions ccqa_mono, ccqa_dec;
-    ccqa_mono.use_decomposition = false;
-    ccqa_dec.use_decomposition = true;
-    std::multiset<std::string> seen_mono, seen_dec;
-    auto count_mono = ForEachCurrentInstance(
-        spec, ccqa_mono, [&](const query::Database& db) {
-          seen_mono.insert(CanonicalDb(db));
-          return true;
-        });
-    auto count_dec = ForEachCurrentInstance(
-        spec, ccqa_dec, [&](const query::Database& db) {
-          seen_dec.insert(CanonicalDb(db));
-          return true;
-        });
-    ASSERT_TRUE(count_mono.ok() && count_dec.ok());
-    EXPECT_EQ(*count_mono, *count_dec);
-    EXPECT_EQ(seen_mono, seen_dec);
+      // Current-instance enumeration: distinct databases, exactly the
+      // oracle's set.
+      CcqaOptions ccqa;
+      ccqa.use_chase_routing = routed;
+      std::set<std::string> seen;
+      auto count = ForEachCurrentInstance(
+          spec, ccqa, [&](const query::Database& db) {
+            EXPECT_TRUE(seen.insert(CanonicalDb(db)).second)
+                << "current instance visited twice";
+            return true;
+          });
+      ASSERT_TRUE(count.ok()) << count.status();
+      EXPECT_EQ(*count, static_cast<int64_t>(seen.size()));
+      EXPECT_EQ(seen, OracleCurrentInstances(spec));
 
-    // CCQA answer sets (general path; the SP fast path is off so the
-    // merged-component membership loop runs).
-    query::Query q =
-        query::ParseQuery("Q(x) := EXISTS y: R('e0', x, y)").value();
-    ccqa_mono.use_sp_fast_path = false;
-    ccqa_dec.use_sp_fast_path = false;
-    auto ans_mono = CertainCurrentAnswers(spec, q, ccqa_mono);
-    auto ans_dec = CertainCurrentAnswers(spec, q, ccqa_dec);
-    if (!ans_mono.ok()) {
-      EXPECT_EQ(ans_mono.status().code(), ans_dec.status().code());
-    } else {
-      ASSERT_TRUE(ans_dec.ok()) << ans_dec.status();
-      EXPECT_EQ(*ans_mono, *ans_dec);
+      // CCQA answer sets, with the SP fast path on and off.
+      query::Query q =
+          query::ParseQuery("Q(x) := EXISTS y: R('e0', x, y)").value();
+      auto oracle = BruteForceCertainAnswers(spec, q);
+      for (bool sp : {true, false}) {
+        ccqa.use_sp_fast_path = sp;
+        auto answers = CertainCurrentAnswers(spec, q, ccqa);
+        if (!oracle.ok()) {
+          EXPECT_EQ(answers.status().code(), oracle.status().code());
+        } else {
+          ASSERT_TRUE(answers.ok()) << answers.status();
+          EXPECT_EQ(*answers, *oracle) << "sp=" << sp;
+        }
+      }
     }
   }
 }
 
 INSTANTIATE_TEST_SUITE_P(Random, DecomposedVsMonolithic,
-                         ::testing::Range(0, 25));
+                         ::testing::Range(0, 40));
 
 TEST(DecompositionTest, CopyCouplingMergesComponents) {
   // S0's ρ maps three Dept tuples (entity RnD) from Mary's Emp tuples and

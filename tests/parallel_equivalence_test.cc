@@ -77,7 +77,6 @@ TEST_P(ParallelEquivalence, AllSolversAgreeForEveryThreadCount) {
     for (int threads : kThreadCounts) {
       SCOPED_TRACE("threads=" + std::to_string(threads));
       CpsOptions cps;
-      cps.use_ptime_path_without_constraints = false;  // exercise SAT
       cps.want_witness = true;
       cps.num_threads = threads;
       auto outcome = DecideConsistency(spec, cps);
@@ -107,7 +106,6 @@ TEST_P(ParallelEquivalence, AllSolversAgreeForEveryThreadCount) {
       for (int threads : kThreadCounts) {
         SCOPED_TRACE("threads=" + std::to_string(threads));
         CopOptions cop;
-        cop.use_ptime_path_without_constraints = false;
         cop.num_threads = threads;
         EXPECT_EQ(IsCertainOrder(spec, q, cop).value(), oracle);
       }
@@ -122,7 +120,6 @@ TEST_P(ParallelEquivalence, AllSolversAgreeForEveryThreadCount) {
       bool oracle = BruteForceCertainOrder(spec, q).value();
       for (int threads : kThreadCounts) {
         CopOptions cop;
-        cop.use_ptime_path_without_constraints = false;
         cop.num_threads = threads;
         EXPECT_EQ(IsCertainOrder(spec, q, cop).value(), oracle)
             << "multi-pair, threads=" << threads;
@@ -133,7 +130,6 @@ TEST_P(ParallelEquivalence, AllSolversAgreeForEveryThreadCount) {
     bool oracle_det = BruteForceDeterministic(spec, "R").value();
     for (int threads : kThreadCounts) {
       DcipOptions dcip;
-      dcip.use_ptime_path_without_constraints = false;
       dcip.num_threads = threads;
       EXPECT_EQ(IsDeterministicForRelation(spec, "R", dcip).value(),
                 oracle_det)
@@ -184,111 +180,6 @@ TEST_P(ParallelEquivalence, AllSolversAgreeForEveryThreadCount) {
   }
 }
 
-// Portfolio racing (sat::Portfolio) is verdict-deterministic: with the
-// component-size gate lowered so even these small random components
-// route through a race, every answer, witness, and enumeration order
-// must be bit-identical to the portfolio-off path — at every thread
-// count (1 thread is the pass-through, ≥2 race for real).
-TEST_P(ParallelEquivalence, PortfolioOnAnswersMatchPortfolioOff) {
-  sat::PortfolioOptions portfolio;
-  portfolio.enabled = true;
-  portfolio.num_solvers = 3;
-  portfolio.min_component_size = 1;  // route even single-group components
-  // Constraint-bearing variants only: constraint-free components are
-  // chase-routed and never portfolio-eligible anyway.
-  for (int variant : {2, 3, 5}) {
-    bool with_copy = variant & 1;
-    bool with_constraints = (variant & 2) || variant >= 4;
-    double free_fraction = variant >= 4 ? 0.5 : 0.0;
-    Specification spec = MakeRandomSpec(GetParam() * 911 + variant, with_copy,
-                                        with_constraints, free_fraction);
-    SCOPED_TRACE("seed=" + std::to_string(GetParam()) +
-                 " variant=" + std::to_string(variant));
-
-    // --- CPS: verdicts vs oracle; witnesses vs the portfolio-off path
-    // (want_witness keeps every component single-solver by contract, so
-    // the completion must be bit-identical). ---
-    bool oracle_consistent = BruteForceConsistent(spec).value();
-    std::optional<std::string> witness_off;
-    for (int threads : kThreadCounts) {
-      SCOPED_TRACE("threads=" + std::to_string(threads));
-      CpsOptions cps;
-      cps.use_ptime_path_without_constraints = false;
-      cps.num_threads = threads;
-      cps.portfolio = portfolio;
-      auto outcome = DecideConsistency(spec, cps);
-      ASSERT_TRUE(outcome.ok()) << outcome.status();
-      EXPECT_EQ(outcome->consistent, oracle_consistent);
-
-      CpsOptions wit = cps;
-      wit.want_witness = true;
-      auto with_witness = DecideConsistency(spec, wit);
-      ASSERT_TRUE(with_witness.ok()) << with_witness.status();
-      EXPECT_EQ(with_witness->consistent, oracle_consistent);
-      if (with_witness->consistent) {
-        ASSERT_TRUE(with_witness->witness.has_value());
-        std::string canonical = CanonicalCompletion(*with_witness->witness);
-        if (!witness_off.has_value()) {
-          CpsOptions off = wit;
-          off.portfolio = sat::PortfolioOptions{};  // disabled
-          witness_off = CanonicalCompletion(
-              *DecideConsistency(spec, off)->witness);
-        }
-        EXPECT_EQ(canonical, *witness_off)
-            << "witness differs from the portfolio-off path";
-      }
-    }
-
-    // --- COP: raced refutation probes vs oracle. ---
-    CurrencyOrderQuery q;
-    q.relation = "R";
-    q.pairs = {RequiredPair{1, 0, 1}, RequiredPair{2, 2, 3},
-               RequiredPair{1, 1, 0}};
-    bool oracle_order = BruteForceCertainOrder(spec, q).value();
-    for (int threads : kThreadCounts) {
-      CopOptions cop;
-      cop.use_ptime_path_without_constraints = false;
-      cop.num_threads = threads;
-      cop.portfolio = portfolio;
-      EXPECT_EQ(IsCertainOrder(spec, q, cop).value(), oracle_order)
-          << "threads=" << threads;
-    }
-
-    // --- DCIP: raced phase-2 probes (model re-established first). ---
-    bool oracle_det = BruteForceDeterministic(spec, "R").value();
-    for (int threads : kThreadCounts) {
-      DcipOptions dcip;
-      dcip.use_ptime_path_without_constraints = false;
-      dcip.num_threads = threads;
-      dcip.portfolio = portfolio;
-      EXPECT_EQ(IsDeterministicForRelation(spec, "R", dcip).value(),
-                oracle_det)
-          << "threads=" << threads;
-    }
-
-    // --- CCQA stays on the single-solver path by design (enumeration
-    // order is search-path-dependent); its order must be unchanged by
-    // other procedures having raced on the same spec. ---
-    std::optional<std::vector<std::string>> order_off;
-    for (int threads : kThreadCounts) {
-      CcqaOptions ccqa;
-      ccqa.num_threads = threads;
-      std::vector<std::string> order;
-      auto count = ForEachCurrentInstance(
-          spec, ccqa, [&](const query::Database& db) {
-            order.push_back(CanonicalDb(db));
-            return true;
-          });
-      ASSERT_TRUE(count.ok()) << count.status();
-      if (!order_off.has_value()) {
-        order_off = order;
-      } else {
-        EXPECT_EQ(order, *order_off) << "threads=" << threads;
-      }
-    }
-  }
-}
-
 INSTANTIATE_TEST_SUITE_P(Random, ParallelEquivalence, ::testing::Range(0, 15));
 
 // An inconsistent multi-component specification: the first-UNSAT
@@ -318,7 +209,6 @@ TEST(ParallelEquivalence, FirstUnsatCancellationIsDeterministic) {
   ASSERT_FALSE(BruteForceConsistent(spec).value());
   for (int threads : kThreadCounts) {
     CpsOptions cps;
-    cps.use_ptime_path_without_constraints = false;
     cps.num_threads = threads;
     auto outcome = DecideConsistency(spec, cps);
     ASSERT_TRUE(outcome.ok());
@@ -349,7 +239,6 @@ TEST(ParallelEquivalence, ActiveTraceRootDoesNotPerturbSolvers) {
       if (traced) span.emplace(&tracer, "test", "equivalence");
 
       CpsOptions cps;
-      cps.use_ptime_path_without_constraints = false;
       cps.want_witness = true;
       cps.num_threads = threads;
       auto outcome = DecideConsistency(spec, cps);

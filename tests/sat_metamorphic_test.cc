@@ -469,7 +469,6 @@ struct SpecRecord {
 SpecRecord RunSpecWorkload(const core::Specification& spec) {
   SpecRecord record;
   core::CpsOptions cps;
-  cps.use_ptime_path_without_constraints = false;  // force the SAT path
   cps.want_witness = true;
   auto outcome = core::DecideConsistency(spec, cps);
   EXPECT_TRUE(outcome.ok()) << outcome.status();

@@ -12,6 +12,7 @@
 #include <string>
 #include <vector>
 
+#include "src/core/brute_force.h"
 #include "src/core/ccqa.h"
 #include "src/core/certain_order.h"
 #include "src/core/consistency.h"
@@ -152,11 +153,14 @@ TEST(CurrencySession, MutateInvalidatesExactlyTheTouchedComponent) {
   ASSERT_TRUE(session->CpsCheck().value());
   EXPECT_EQ(session->stats().base_solves, solves + 1)
       << "exactly the touched component re-solves";
-  // And the answers equal a fresh solve over the mutated specification.
-  core::CpsOptions mono;
-  mono.use_decomposition = false;
+  // And the answers equal a fresh forced-SAT solve and the oracle over
+  // the mutated specification.
+  core::CpsOptions forced;
+  forced.use_chase_routing = false;
   EXPECT_EQ(session->CpsCheck().value(),
-            core::DecideConsistency(session->spec(), mono)->consistent);
+            core::DecideConsistency(session->spec(), forced)->consistent);
+  EXPECT_EQ(session->CpsCheck().value(),
+            core::BruteForceConsistent(session->spec()).value());
 }
 
 TEST(CurrencySession, EidEditsMergeAndSplitCouplingComponents) {
@@ -195,10 +199,12 @@ TEST(CurrencySession, EidEditsMergeAndSplitCouplingComponents) {
   ASSERT_TRUE(session->Mutate({core::TupleEdit{0, 2, 0, Value("e0")}}).ok());
   EXPECT_EQ(session->num_components(), 2);
   ASSERT_TRUE(session->CpsCheck().value());
-  core::CpsOptions mono;
-  mono.use_decomposition = false;
+  core::CpsOptions forced;
+  forced.use_chase_routing = false;
   EXPECT_EQ(session->CpsCheck().value(),
-            core::DecideConsistency(session->spec(), mono)->consistent);
+            core::DecideConsistency(session->spec(), forced)->consistent);
+  EXPECT_EQ(session->CpsCheck().value(),
+            core::BruteForceConsistent(session->spec()).value());
 
   // Split: moving it back restores the three decoupled components.
   ASSERT_TRUE(session->Mutate({core::TupleEdit{0, 2, 0, Value("e1")}}).ok());

@@ -1,8 +1,9 @@
 // Session-vs-fresh equivalence for the serving layer: every batch answer
 // a CurrencySession gives — cold, warm, and after arbitrary accepted or
-// rejected Mutate batches — must equal the answer of a fresh monolithic
-// build over the session's current specification, and must agree with the
-// brute-force oracle.  The session's caches (component encoders with
+// rejected Mutate batches — must equal the answer of a fresh one-shot
+// solve with forced-SAT routing (use_chase_routing = false) over the
+// session's current specification, and must agree with the brute-force
+// oracle.  The session's caches (component encoders with
 // accumulated learnt clauses, base-solve results, fingerprint-matched
 // reuse across epochs) are exactly the machinery under test, which is why
 // every round re-checks all four problems from scratch.
@@ -57,16 +58,15 @@ std::vector<core::CurrencyOrderQuery> MakeCopQueries() {
   return queries;
 }
 
-/// Re-checks all four problems on the session against a fresh monolithic
-/// build of session->spec() AND the brute-force oracle.
+/// Re-checks all four problems on the session against a fresh forced-SAT
+/// one-shot solve of session->spec() AND the brute-force oracle.
 void CheckAllProblems(CurrencySession* session) {
   const core::Specification& spec = session->spec();
 
   // --- CPS ---
   {
     core::CpsOptions cps;
-    cps.use_ptime_path_without_constraints = false;
-    cps.use_decomposition = false;  // fresh MONOLITHIC comparator
+    cps.use_chase_routing = false;  // fresh FORCED-SAT comparator
     auto fresh = core::DecideConsistency(spec, cps);
     ASSERT_TRUE(fresh.ok()) << fresh.status();
     bool oracle = core::BruteForceConsistent(spec).value();
@@ -93,8 +93,7 @@ void CheckAllProblems(CurrencySession* session) {
     for (size_t i = 0; i < queries.size(); ++i) {
       SCOPED_TRACE("cop query " + std::to_string(i));
       core::CopOptions cop;
-      cop.use_ptime_path_without_constraints = false;
-      cop.use_decomposition = false;
+      cop.use_chase_routing = false;
       auto fresh = core::IsCertainOrder(spec, queries[i], cop);
       ASSERT_TRUE(fresh.ok()) << fresh.status();
       EXPECT_EQ((*got)[i], *fresh);
@@ -115,8 +114,7 @@ void CheckAllProblems(CurrencySession* session) {
     for (size_t i = 0; i < relations.size(); ++i) {
       SCOPED_TRACE("dcip relation " + relations[i]);
       core::DcipOptions dcip;
-      dcip.use_ptime_path_without_constraints = false;
-      dcip.use_decomposition = false;
+      dcip.use_chase_routing = false;
       auto fresh = core::IsDeterministicForRelation(spec, relations[i], dcip);
       ASSERT_TRUE(fresh.ok()) << fresh.status();
       EXPECT_EQ((*got)[i], *fresh);
@@ -139,7 +137,7 @@ void CheckAllProblems(CurrencySession* session) {
     ASSERT_EQ(got->size(), requests.size());
     core::CcqaOptions ccqa;
     ccqa.use_sp_fast_path = false;
-    ccqa.use_decomposition = false;
+    ccqa.use_chase_routing = false;
     auto fresh = core::CertainCurrentAnswers(spec, q, ccqa);
     auto oracle = core::BruteForceCertainAnswers(spec, q);
     if (!fresh.ok()) {
@@ -161,6 +159,8 @@ void CheckAllProblems(CurrencySession* session) {
       ASSERT_TRUE(fresh_member.ok()) << fresh_member.status();
       ASSERT_TRUE((*got)[k + 1].is_certain.has_value());
       EXPECT_EQ(*(*got)[k + 1].is_certain, *fresh_member);
+      EXPECT_EQ(*fresh_member,
+                !oracle.ok() || oracle->count(Tuple({Value(k)})) > 0);
     }
   }
 }
@@ -251,7 +251,8 @@ TEST_P(SessionEquivalence, BatchesMatchFreshSolvesAcrossMutations) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Random, SessionEquivalence, ::testing::Range(0, 8));
+INSTANTIATE_TEST_SUITE_P(Random, SessionEquivalence,
+                         ::testing::Range(0, 12));
 
 /// Serializes every batch answer a session gives (CPS, COP, DCIP, CCQA
 /// answer sets and memberships) into one comparable transcript.
@@ -300,75 +301,6 @@ std::string BatchTranscript(CurrencySession* session) {
     out += "|";
   }
   return out;
-}
-
-// Portfolio racing must not perturb anything: a session with portfolio
-// base solves enabled (and the component-size gate lowered so these
-// small random components actually race) must produce a bit-identical
-// batch transcript — CPS, COP, DCIP, CCQA answer sets, memberships and
-// enumeration orders — to a portfolio-off session over the same
-// specification and edit sequence, at every thread count.
-TEST(SessionEquivalence, PortfolioOnMatchesPortfolioOff) {
-  // Variant 3: every component constrained, hence SAT-routed and (with
-  // the gate at 1) portfolio-eligible.  Variant 5: mixed chase/SAT.
-  for (int variant : {3, 5}) {
-    bool with_copy = variant & 1;
-    bool with_constraints = (variant & 2) || variant >= 4;
-    double free_fraction = variant >= 4 ? 0.5 : 0.0;
-    core::Specification spec =
-        MakeRandomSpec(77 * 1237 + variant, with_copy, with_constraints,
-                       free_fraction);
-    for (int threads : kThreadCounts) {
-      SCOPED_TRACE("variant=" + std::to_string(variant) +
-                   " threads=" + std::to_string(threads));
-      auto make_session = [&](bool portfolio_on) {
-        SessionOptions options;
-        options.num_threads = threads;
-        if (portfolio_on) {
-          options.portfolio.enabled = true;
-          options.portfolio.num_solvers = 3;
-          options.portfolio.min_component_size = 1;
-        }
-        auto session = CurrencySession::Create(spec, options);
-        EXPECT_TRUE(session.ok()) << session.status();
-        return std::move(session).value();
-      };
-      auto off = make_session(false);
-      auto on = make_session(true);
-      if (::testing::Test::HasFailure()) return;
-
-      EXPECT_EQ(BatchTranscript(on.get()), BatchTranscript(off.get()));
-      std::mt19937 rng(variant * 101 + threads);
-      for (int round = 0; round < 2; ++round) {
-        std::vector<core::TupleEdit> edits = MakeRandomEdits(off->spec(),
-                                                             rng);
-        Status st_off = off->Mutate(edits);
-        Status st_on = on->Mutate(edits);
-        EXPECT_EQ(st_off.code(), st_on.code());
-        EXPECT_EQ(BatchTranscript(on.get()), BatchTranscript(off.get()))
-            << "round=" << round;
-      }
-      // Race accounting: pass-through at one thread records nothing (the
-      // single-solver path IS the portfolio path there); with real
-      // concurrency and every component eligible, the cold base solves
-      // must have raced.
-      int64_t races = on->registry()
-                          ->GetCounter("currency_sat_portfolio_races_total",
-                                       obs::Labels{})
-                          ->Value();
-      if (threads == 1) {
-        EXPECT_EQ(races, 0);
-      } else if (variant == 3) {
-        EXPECT_GT(races, 0) << "no base solve raced despite eligibility";
-      }
-      int64_t off_races = off->registry()
-                              ->GetCounter(
-                                  "currency_sat_portfolio_races_total",
-                                  obs::Labels{})
-                              ->Value();
-      EXPECT_EQ(off_races, 0);
-    }
-  }
 }
 
 // Tracing must not perturb anything: a session running under a live,
